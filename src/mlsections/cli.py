@@ -7,6 +7,7 @@ check failed, 2 invalid parameters or malformed input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -305,27 +306,11 @@ def cmd_plot(args) -> int:
 # --------------------------------------------------------------------------
 # wiring
 
-class _Out:
-    """Context manager yielding an open file or stdout for path '-'."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self):
-        if self.path == "-":
-            return sys.stdout
-        self.fh = open(self.path, "w", newline="")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
-        return False
-
-
-def _open_out(path: str) -> _Out:
-    return _Out(path)
+def _open_out(path: str):
+    """An open text file for writing, or stdout (left open) for path '-'."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,11 @@ Notation used throughout the package:
 
 combo is the mixed section/tail combination
 (1 - lam) s_n(R_n z) - lam t_{n+1}(R_n z) in its cancellation-safe form.
+
+combo, section, tail and ml_series are all a s_n(w) + b E(w) for one
+coefficient pair, (1, -lam), (1, 0), (-1, 1) and (0, 1), and are evaluated
+by one kernel (_series_kernel) that picks, per point, between the direct
+sum and two forms that take E from its asymptotic expansion.
 """
 
 from __future__ import annotations
@@ -26,15 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scaled import (
-    SC_ZERO,
-    ScaledComplex,
-    _wrap_phase,
-    sc_add,
-    sc_from_complex,
-    sc_mul,
-    sc_sub,
-)
+from .scaled import SC_ZERO, ScaledComplex, _wrap_phase, sc_add, sc_from_complex
 from .specfun import ln_gamma, ln_gamma_arr
 
 __all__ = [
@@ -147,16 +144,61 @@ def radius_asymptotic(n: int, rho: float) -> float:
     return (n / rho) ** (1.0 / rho) * (1.0 + (rho - 1.0) / (2.0 * rho * n))
 
 
-def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> MaxTermInfo:
-    """Maximal term and central index of E at radius r.
+# --- series terms -----------------------------------------------------------
 
-    Scans k -> k log r - ln Gamma(1 + k/rho); the sequence is concave in k,
-    and ties (r exactly at a jump point R_n) resolve to the larger index,
-    matching the right-continuity of the central index.
+
+def _log_terms(logw: np.ndarray, k0: int, k1: int, rho: float,
+               deriv: bool = False, mu: float = 1.0) -> np.ndarray:
+    """Logs of the series terms k0 <= k < k1, one row per entry of logw.
+
+    Row i holds k log w_i - ln Gamma(mu + k/rho), or with deriv the terms of
+    the w-derivative, (k - 1) log w_i + log k - ln Gamma(1 + k/rho).  A real
+    logw (log|w|) gives log-magnitudes, a complex one (log|w| + i arg w)
+    complex logs.
     """
-    if not r > 0.0:
-        raise ValueError("r must be > 0")
-    lr = math.log(r)
+    k = np.arange(k0, k1, dtype=float)
+    if mu == 1.0:
+        logc = -_lgamma_table(rho, k1)[k0:k1]
+    else:
+        logc = -ln_gamma_arr(mu + k / rho)
+    if deriv:
+        with np.errstate(divide="ignore"):
+            logc = logc + np.log(k)
+        k = k - 1.0
+    out = np.multiply.outer(logw, k)
+    out += logc
+    return out
+
+
+def _norm_sum(logt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise normalized sum of complex log-terms, overwriting logt.
+
+    Returns (m, nu, s) with sum_k e^{logt_k} = s e^m, where m is the largest
+    real part, at column nu.
+    """
+    nu = logt.real.argmax(axis=1)
+    m = logt.real[np.arange(len(nu)), nu]
+    logt -= m[:, None]
+    # e^x is exactly 0 for x < -746: skip the complex exponential there
+    live = logt.real > -746.0
+    with np.errstate(under="ignore"):
+        np.exp(logt, out=logt, where=live)
+    logt[~live] = 0.0
+    return m, nu, logt.sum(axis=1)
+
+
+def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
+                     mu: float = 1.0) -> tuple[float, int, int]:
+    """Peak value, its index, and the truncation index of the terms at |w| = e^lr.
+
+    The sequence k -> k lr - ln Gamma(mu + k/rho) is concave in k; ties (r
+    exactly at a jump point R_n) resolve to the larger index, matching the
+    right-continuity of the central index.  The cutoff is the first index
+    past the peak where terms drop below rel_tol of the peak, plus the tail
+    margin.
+    """
+    log_tol = math.log(trunc.rel_tol)
+    row = np.array([lr])
     best = -math.inf
     nu = 0
     k0 = 0
@@ -164,49 +206,13 @@ def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> Max
     while True:
         if k0 > trunc.max_terms:
             raise TruncationError(
-                f"central index not bracketed within {trunc.max_terms} terms at r={r!r}"
-            )
-        hi = k0 + chunk
-        k = np.arange(k0, hi, dtype=float)
-        logt = k * lr - _lgamma_table(rho, hi)[k0:hi]
-        m = float(logt.max())
-        if m >= best:
-            # >= prefers the larger index on an exact tie
-            idx = int(np.nonzero(logt == m)[0][-1])
-            best = m
-            nu = k0 + idx
-        if logt[-1] < best and hi > nu + trunc.tail_margin:
-            return MaxTermInfo(mu_log=best, nu=nu)
-        k0 = hi
-
-
-def _peak_and_cutoff(lr: float, logc: "np.ndarray | None", rho: float,
-                     trunc: TruncationSpec, kstart: int = 0,
-                     mu_arg: float | None = None) -> tuple[float, int, int]:
-    """Peak value, its index, and the truncation index of a log-term scan.
-
-    logc[k] must hold -ln Gamma(...) offsets; when logc is None the table
-    for (1 + k/rho) is used.  The cutoff is the first index past the peak
-    where terms drop below rel_tol of the peak, plus the tail margin.
-    """
-    log_tol = math.log(trunc.rel_tol)
-    best = -math.inf
-    nu = kstart
-    k0 = kstart
-    chunk = 4096
-    while True:
-        if k0 > trunc.max_terms + kstart:
-            raise TruncationError(
                 f"series did not converge within {trunc.max_terms} terms"
             )
         hi = k0 + chunk
-        k = np.arange(k0, hi, dtype=float)
-        if mu_arg is None:
-            logt = k * lr - _lgamma_table(rho, hi)[k0:hi]
-        else:
-            logt = k * lr - ln_gamma_arr(mu_arg + k / rho)
+        logt = _log_terms(row, k0, hi, rho, mu=mu)[0]
         m = float(logt.max())
         if m >= best:
+            # >= prefers the larger index on an exact tie
             idx = int(np.nonzero(logt == m)[0][-1])
             best = m
             nu = k0 + idx
@@ -214,41 +220,23 @@ def _peak_and_cutoff(lr: float, logc: "np.ndarray | None", rho: float,
             below = logt < best + log_tol
             if below[-1] and k0 > nu:
                 # concave sequence: once below tolerance past the peak it stays below
-                first = k0 + int(np.argmax(below)) if below.any() else hi
+                first = k0 + int(np.argmax(below))
                 return best, nu, max(first, nu + 1) + trunc.tail_margin
         k0 = hi
 
 
-def _sum_terms(lr: float, ph: float, M: float, kstop: int, rho: float,
-               kstart: int = 0, mu_arg: float | None = None,
-               deriv: bool = False) -> ScaledComplex:
-    """Sum exp(k lr - lgamma) e^{i k ph} / e^M for k in [kstart, kstop]."""
-    total = 0.0 + 0.0j
-    for k0 in range(kstart, kstop + 1, 65536):
-        hi = min(k0 + 65536, kstop + 1)
-        k = np.arange(k0, hi, dtype=float)
-        if mu_arg is None:
-            logt = k * lr - _lgamma_table(rho, hi)[k0:hi]
-        else:
-            logt = k * lr - ln_gamma_arr(mu_arg + k / rho)
-        if deriv:
-            logt = logt + np.log(np.maximum(k, 1.0))
-        with np.errstate(under="ignore"):
-            total += complex(np.sum(np.exp(logt - M + 1j * (k * ph))))
-    if total == 0:
-        return SC_ZERO
-    return ScaledComplex(M + math.log(abs(total)), _wrap_phase(cmath.phase(total)))
+def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> MaxTermInfo:
+    """Maximal term and central index of E at radius r."""
+    if not r > 0.0:
+        raise ValueError("r must be > 0")
+    mu_log, nu, _kcut = _peak_and_cutoff(math.log(r), rho, trunc)
+    return MaxTermInfo(mu_log=mu_log, nu=nu)
 
 
 def ml_series(z: complex, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> ScaledComplex:
-    """E(z) by direct log-normalized summation of the power series."""
-    z = complex(z)
-    if z == 0:
-        return ScaledComplex(0.0, 0.0)
-    lr = math.log(abs(z))
-    ph = cmath.phase(z)
-    M, _nu, kstop = _peak_and_cutoff(lr, None, rho, trunc)
-    return _sum_terms(lr, ph, M, kstop, rho)
+    """E(z) from its power series, or from the asymptotic expansion where
+    the series cancels below its rounding floor."""
+    return _kernel_at(z, 0, rho, trunc, 0.0, 1.0)[0]
 
 
 def ml_mu(z: complex, rho: float, mu: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> ScaledComplex:
@@ -258,10 +246,10 @@ def ml_mu(z: complex, rho: float, mu: float, trunc: TruncationSpec = DEFAULT_TRU
     z = complex(z)
     if z == 0:
         return ScaledComplex(-ln_gamma(mu), 0.0)
-    lr = math.log(abs(z))
-    ph = cmath.phase(z)
-    M, _nu, kstop = _peak_and_cutoff(lr, None, rho, trunc, mu_arg=mu)
-    return _sum_terms(lr, ph, M, kstop, rho, mu_arg=mu)
+    _peak, _nu, kcut = _peak_and_cutoff(math.log(abs(z)), rho, trunc, mu=mu)
+    m, _nu, s = _norm_sum(_log_terms(np.log([z]), 0, kcut + 1, rho, mu=mu))
+    log_mag, phase = _log_polar(s, m)
+    return _scaled(float(log_mag[0]), float(phase[0]))
 
 
 ASYMPTOTIC_FLOOR = 5.0  # empirical validity floor for the (2.2)-style expansion
@@ -339,10 +327,6 @@ def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
     alg = np.where(stop > 0, alg, 0.0)
     if not deriv:
         alg = -alg
-    mag_a = np.abs(alg)
-    with np.errstate(divide="ignore"):
-        la = np.where(mag_a > 0, np.log(np.maximum(mag_a, 1e-300)), -np.inf)
-    pa = np.angle(alg)
 
     theta = np.angle(wv)
     lr = np.log(np.abs(wv))
@@ -354,76 +338,35 @@ def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
         le = le + math.log(rho) + (rho - 1.0) * lr
         pe = pe + (rho - 1.0) * theta
     le = np.where(np.abs(theta) <= math.pi / rho, le, -np.inf)
-
-    base = np.maximum(le, la)
-    with np.errstate(under="ignore", invalid="ignore"):
-        v = np.where(le > -np.inf, np.exp(le - base + 1j * pe), 0.0) \
-            + np.where(la > -np.inf, np.exp(la - base + 1j * pa), 0.0)
-    mag_v = np.abs(v)
-    with np.errstate(divide="ignore"):
-        out_log = np.where(mag_v > 0, np.log(np.maximum(mag_v, 1e-300)) + base, -np.inf)
-    return out_log, np.angle(v)
-
-
-def _ml_asym_accurate(w: complex, rho: float, deriv: bool = False) -> ScaledComplex:
-    lm, ph = _ml_asym_batch(np.array([complex(w)]), rho, deriv=deriv)
-    if lm[0] == -np.inf:
-        return SC_ZERO
-    return ScaledComplex(float(lm[0]), _wrap_phase(float(ph[0])))
-
-
-def _section_scaled(w_logabs: float, w_phase: float, n: int, rho: float) -> ScaledComplex:
-    k = np.arange(0, n + 1, dtype=float)
-    logt = k * w_logabs - _lgamma_table(rho, n + 1)[: n + 1]
-    M = float(logt.max())
-    with np.errstate(under="ignore"):
-        total = complex(np.sum(np.exp(logt - M + 1j * (k * w_phase))))
-    if total == 0:
-        return SC_ZERO
-    return ScaledComplex(M + math.log(abs(total)), _wrap_phase(cmath.phase(total)))
+    return _combine((1.0, np.exp(1j * pe), le), (1.0, alg, np.zeros(len(wv))))
 
 
 def section(z: complex, ctx: MLContext) -> ScaledComplex:
     """Section s_n(R_n z) in scaled form."""
-    w = ctx.radius_value * complex(z)
-    if w == 0:
-        return ScaledComplex(0.0, 0.0)
-    return _section_scaled(math.log(abs(w)), cmath.phase(w), ctx.n, ctx.rho)
+    return _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, ctx.trunc, 1.0, 0.0)[0]
 
 
 def tail(z: complex, ctx: MLContext) -> ScaledComplex:
     """Tail t_{n+1}(R_n z) in scaled form.
 
-    Forward summation while |R_n z| <= R_{n+1} (terms decrease from the
-    start), otherwise E - s_n with a cancellation check.
+    Summed forward, or as E - s_n where that sum cancels; warns when the
+    chosen form still leaves less than half the working digits.
     """
-    w = ctx.radius_value * complex(z)
-    if w == 0:
-        return SC_ZERO
-    lr = math.log(abs(w))
-    ph = cmath.phase(w)
-    n, rho, trunc = ctx.n, ctx.rho, ctx.trunc
-    if abs(w) <= radius(n + 1, rho):
-        M, _nu, kstop = _peak_and_cutoff(lr, None, rho, trunc, kstart=n + 1)
-        return _sum_terms(lr, ph, M, kstop, rho, kstart=n + 1)
-    full = ml_series(w, rho, trunc)
-    sec = _section_scaled(lr, ph, n, rho)
-    diff = sc_sub(full, sec)
-    if not diff.is_zero and diff.log_mag < max(full.log_mag, sec.log_mag) - 18.5:
+    val, floor = _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, ctx.trunc,
+                            -1.0, 1.0)
+    if not val.is_zero and floor > val.log_mag + 0.5 * _LOG_EPS:
         warnings.warn(
-            "tail via E - s_n lost more than half the working digits",
+            "tail lost more than half the working digits",
             CancellationWarning,
             stacklevel=2,
         )
-    return diff
+    return val
 
 
 def combo(z: complex, ctx: MLContext) -> ScaledComplex:
     """I_n(R_n z; lam) = s_n(R_n z) - lam E(R_n z), in scaled form."""
     log_mag, phase = combo_batch(np.array([complex(z)]), ctx)
-    if log_mag[0] == -np.inf:
-        return SC_ZERO
-    return ScaledComplex(float(log_mag[0]), float(phase[0]))
+    return _scaled(float(log_mag[0]), float(phase[0]))
 
 
 def combo_normalized(z: complex, ctx: MLContext) -> ScaledComplex:
@@ -442,9 +385,7 @@ def combo_normalized(z: complex, ctx: MLContext) -> ScaledComplex:
 def combo_derivative(z: complex, ctx: MLContext) -> ScaledComplex:
     """d/dz I_n(R_n z; lam) = R_n (s_n'(R_n z) - lam E'(R_n z))."""
     log_mag, phase = combo_batch(np.array([complex(z)]), ctx, deriv=True)
-    if log_mag[0] == -np.inf:
-        return SC_ZERO
-    return ScaledComplex(float(log_mag[0]), float(phase[0]))
+    return _scaled(float(log_mag[0]), float(phase[0]))
 
 
 # --- vectorized evaluation over z-grids ------------------------------------
@@ -458,208 +399,161 @@ def combo_batch(zs: np.ndarray, ctx: MLContext, deriv: bool = False
     This is the hot path behind winding numbers and verification grids.
     """
     zs = np.asarray(zs, dtype=complex)
-    flat = zs.ravel()
-    n, rho, lam, trunc = ctx.n, ctx.rho, ctx.lam, ctx.trunc
     rn = ctx.radius_value
-    w = rn * flat
-    aw = np.abs(w)
-    out_log = np.full(flat.shape, -np.inf)
-    out_ph = np.zeros(flat.shape)
-
-    zero_mask = aw == 0.0
-    if zero_mask.any():
-        if deriv:
-            v = (1.0 - lam) * math.exp(-ln_gamma(1.0 + 1.0 / rho)) * rn
-        else:
-            v = 1.0 - lam
-        sv = sc_from_complex(v)
-        out_log[zero_mask] = sv.log_mag
-        out_ph[zero_mask] = sv.phase
-    live = ~zero_mask
-    if not live.any():
-        return out_log.reshape(zs.shape), out_ph.reshape(zs.shape)
-
-    lw = np.log(aw[live])
-    phw = np.angle(w[live])
-    lr_max = float(lw.max())
-    # the tail columns are kept even for lam = 0: the section's own terms
-    # can cancel (interior peak, exterior phase), and the E - tail rewrite
-    # needs them
-    _M, _nu, kcut = _peak_and_cutoff(lr_max, None, rho, trunc)
-    kcut = max(kcut, n + trunc.tail_margin)
-    k = np.arange(0, kcut + 1, dtype=float)
-    logc = _lgamma_table(rho, kcut + 1)[: kcut + 1].copy()
+    log_mag, phase, _floor = _series_kernel(rn * zs.ravel(), ctx.n, ctx.rho, ctx.trunc,
+                                            1.0, -ctx.lam, deriv)
     if deriv:
-        # coefficients k / Gamma(1 + k/rho), one power of w shifted out
-        with np.errstate(divide="ignore"):
-            logd = np.log(np.maximum(k, 1e-300)) - logc
-        logd[0] = -np.inf
-
-    idx_live = np.nonzero(live)[0]
-    m = len(idx_live)
-    chunk = max(1, 4_000_000 // (kcut + 1))
-    res_log = np.empty(m)
-    res_ph = np.empty(m)
-    for c0 in range(0, m, chunk):
-        c1 = min(c0 + chunk, m)
-        lwc = lw[c0:c1, None]
-        phc = phw[c0:c1, None]
-        if deriv:
-            logt = (k[None, :] - 1.0) * lwc + logd[None, :]
-            pht = (k[None, :] - 1.0) * phc
-        else:
-            logt = k[None, :] * lwc - logc[None, :]
-            pht = k[None, :] * phc
-        msec = logt[:, : n + 1].max(axis=1)
-        with np.errstate(under="ignore"):
-            ssec = np.exp(logt[:, : n + 1] - msec[:, None] + 1j * pht[:, : n + 1]).sum(axis=1)
-        if lam == 0:
-            # the section is E - t_{n+1}; when its own terms cancel (value
-            # far below the largest term) and the tail is forward-summable,
-            # that difference is the accurate form
-            vals_log, vals_ph = _log_polar(ssec, msec)
-            with np.errstate(over="ignore"):
-                awp_rho = np.exp(rho * lwc[:, 0])
-            err_a = _LOG_EPS + msec
-            forward_ok = lwc[:, 0] <= math.log(radius(n + 1, rho))
-            err_c = np.where(
-                forward_ok,
-                np.logaddexp(-awp_rho, _LOG_EPS + logt[:, n + 1]),
-                np.inf)
-            suspect = (vals_log == -np.inf) | (err_a > vals_log - 13.8)
-            use_c = suspect & (err_c < err_a)
-            if use_c.any():
-                idx = np.nonzero(use_c)[0]
-                _tail_rewrite(idx, logt, pht, n, 1.0,
-                              w[idx_live[c0:c1]][idx], rho, deriv,
-                              vals_log, vals_ph)
-        elif lam == 1:
-            # combo is exactly -t_{n+1}(w); near the origin the difference
-            # s_n - E cancels to rounding noise (the true value is
-            # ~|w|^{n+1}), so sum the tail forward wherever its terms
-            # decrease from the first one, and fall back to s_n - E beyond.
-            tail_logt = logt[:, n + 1:]
-            tail_pht = pht[:, n + 1:]
-            mtl = tail_logt.max(axis=1)
-            with np.errstate(under="ignore"):
-                stl = np.exp(tail_logt - mtl[:, None] + 1j * tail_pht).sum(axis=1)
-            vals_log, vals_ph = _log_polar(-stl, mtl)
-            forward_ok = lwc[:, 0] <= math.log(radius(n + 1, rho))
-            if not forward_ok.all():
-                mml = logt.max(axis=1)
-                with np.errstate(under="ignore"):
-                    sml = np.exp(logt - mml[:, None] + 1j * pht).sum(axis=1)
-                base = np.maximum(msec, mml)
-                with np.errstate(under="ignore"):
-                    cval = ssec * np.exp(msec - base) - sml * np.exp(mml - base)
-                dlog, dph = _log_polar(cval, base)
-                vals_log = np.where(forward_ok, vals_log, dlog)
-                vals_ph = np.where(forward_ok, vals_ph, dph)
-                with np.errstate(over="ignore"):
-                    awp_rho = np.exp(rho * lwc[:, 0])
-                noisy = (~forward_ok) & (np.abs(sml) < 1e-6) & (mml + awp_rho > 36.0)
-                if noisy.any():
-                    idx = np.nonzero(noisy)[0]
-                    _rescue_points(idx, ssec, msec, w[idx_live[c0:c1]][idx],
-                                   1.0, rho, deriv, vals_log, vals_ph)
-        else:
-            mml = logt.max(axis=1)
-            with np.errstate(under="ignore"):
-                sml = np.exp(logt - mml[:, None] + 1j * pht).sum(axis=1)
-            base = np.maximum(msec, mml)
-            with np.errstate(under="ignore"):
-                cval = ssec * np.exp(msec - base) - lam * sml * np.exp(mml - base)
-            vals_log, vals_ph = _log_polar(cval, base)
-            # Three representations of s_n - lam*E with different rounding
-            # floors (all logs of absolute error):
-            #   A  direct series difference      eps * e^{max(msec, mml)}
-            #   B  section - lam*E_asym          eps * e^{msec} + |lam| e^{-|w|^rho}
-            #   C  (1-lam)*E_asym - forward tail |1-lam| e^{-|w|^rho}
-            #                                      + eps * e^{first tail term}
-            # C requires the tail terms to decrease from k = n+1 on
-            # (|w| <= R_{n+1}).  Where A sits near its own noise floor,
-            # switch to whichever alternative promises the smaller error.
-            with np.errstate(over="ignore"):
-                awp_rho = np.exp(rho * lwc[:, 0])
-            err_a = _LOG_EPS + base
-            err_b = np.logaddexp(_LOG_EPS + msec,
-                                 -awp_rho + math.log(abs(lam)))
-            forward_ok = lwc[:, 0] <= math.log(radius(n + 1, rho))
-            err_c = np.where(
-                forward_ok,
-                np.logaddexp(-awp_rho + math.log(abs(1.0 - lam)),
-                             _LOG_EPS + logt[:, n + 1]),
-                np.inf)
-            suspect = (vals_log == -np.inf) | (err_a > vals_log - 13.8)
-            use_b = suspect & (err_b < err_a) & (err_b <= err_c)
-            use_c = suspect & (err_c < err_a) & (err_c < err_b)
-            if use_b.any():
-                idx = np.nonzero(use_b)[0]
-                _rescue_points(idx, ssec, msec, w[idx_live[c0:c1]][idx],
-                               lam, rho, deriv, vals_log, vals_ph)
-            if use_c.any():
-                idx = np.nonzero(use_c)[0]
-                _tail_rewrite(idx, logt, pht, n, 1.0 - lam,
-                              w[idx_live[c0:c1]][idx], rho, deriv,
-                              vals_log, vals_ph)
-        res_log[c0:c1] = vals_log
-        res_ph[c0:c1] = vals_ph
-    if deriv:
-        res_log = res_log + math.log(rn)
-    out_log[idx_live] = res_log
-    out_ph[idx_live] = res_ph
-    return out_log.reshape(zs.shape), out_ph.reshape(zs.shape)
+        log_mag = log_mag + math.log(rn)
+    return log_mag.reshape(zs.shape), phase.reshape(zs.shape)
 
 
 _LOG_EPS = math.log(2.0 ** -52)
+# A is suspect once its error floor comes within e^13.8 (~1e6) of its value
+_SUSPECT_GAP = 13.8
 
 
-def _tail_rewrite(idx: np.ndarray, logt: np.ndarray, pht: np.ndarray, n: int,
-                  coef: complex, wv: np.ndarray, rho: float, deriv: bool,
-                  vals_log: np.ndarray, vals_ph: np.ndarray) -> None:
-    """Overwrite vals at idx with coef*E - t_{n+1}, E from the asymptotic
-    form and the tail summed forward (its terms must be decreasing)."""
-    tl = logt[idx, n + 1:]
-    tp = pht[idx, n + 1:]
-    mtl = tl.max(axis=1)
-    with np.errstate(under="ignore"):
-        stl = np.exp(tl - mtl[:, None] + 1j * tp).sum(axis=1)
-    t_log, t_ph = _log_polar(stl, mtl)
-    e_log, e_ph = _ml_asym_batch(wv, rho, deriv=deriv)
-    coef = complex(coef)
-    with np.errstate(divide="ignore"):
-        e_log = e_log + (math.log(abs(coef)) if coef != 0 else -math.inf)
-    e_ph = e_ph + cmath.phase(coef)
-    bc = np.maximum(e_log, t_log)
-    bc = np.where(np.isfinite(bc), bc, 0.0)
-    with np.errstate(under="ignore"):
-        v = np.where(e_log > -np.inf, np.exp(e_log - bc + 1j * e_ph), 0.0) \
-            - np.where(t_log > -np.inf, np.exp(t_log - bc + 1j * t_ph), 0.0)
-    vals_log[idx], vals_ph[idx] = _log_polar(v, bc)
+def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
+                   a: complex, b: complex, deriv: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a s_n(w) + b E(w), or its w-derivative, at each point of the 1-D array w.
+
+    Returns (log_mag, phase, log_floor): the value in log-polar form (exact
+    zeros carry log_mag = -inf) and the log of its estimated absolute error.
+    The series terms of each point are exponentiated once and split at
+    column n into the normalized sums S = s_n and T = t_{n+1}, which give
+    three representations with different error floors:
+
+      A  (a+b) S + b T          direct sum: eps-part of S and T
+      B  a S + b E_asym         eps-part of S, |b| e^{-|w|^rho}
+      C  (a+b) E_asym - a T     |a+b| e^{-|w|^rho}, eps-part of the first
+                                tail term; only while |w| <= R_{n+1}, where
+                                the tail terms decrease from k = n+1 on
+
+    The eps-part of a sum is eps * max(1, |log-term|) * (largest term): the
+    log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
+    to eps of its own size before it is exponentiated.  A is used unless it
+    is suspect (its floor within e^13.8 of its value) and B or C promises a
+    lower floor.  T is computed only where it is read: always when b != 0,
+    otherwise on the points routed to C.
+    """
+    a, b = complex(a), complex(b)
+    la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
+    out_log = np.full(w.shape, -np.inf)
+    out_ph = np.zeros(w.shape)
+    out_floor = np.full(w.shape, -np.inf)
+    zero = w == 0
+    if zero.any():
+        # s_n and E (and their derivatives) agree at w = 0
+        v = (a + b) * (math.exp(-ln_gamma(1.0 + 1.0 / rho)) if deriv else 1.0)
+        sv = sc_from_complex(v)
+        out_log[zero] = sv.log_mag
+        out_ph[zero] = sv.phase
+    live = np.nonzero(~zero)[0]
+    if live.size == 0:
+        return out_log, out_ph, out_floor
+    logw = np.log(w[live])
+    kcut = None
+
+    def cutoff() -> int:
+        # one cutoff for every point, set by the largest |w|
+        _peak, _nu, k = _peak_and_cutoff(float(logw.real.max()), rho, trunc)
+        return max(k, n + trunc.tail_margin)
+
+    if b != 0:
+        kcut = cutoff()
+    width = n + 1 if kcut is None else kcut + 1
+    chunk = max(1, 4_000_000 // width)
+    for c0 in range(0, live.size, chunk):
+        idx = live[c0:c0 + chunk]
+        lw = logw[c0:c0 + chunk]
+        logt = _log_terms(lw, 0, width, rho, deriv)
+        m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1])
+        fl_s = _eps_floor(m_s, nu_s, lw, rho)
+        if b != 0:
+            m_t, nu_t, s_t = _norm_sum(logt[:, n + 1:])
+            val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
+            floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, lw, rho))
+        else:
+            val_log, val_ph = _combine((a, s_s, m_s))
+            floor = la + fl_s
+        del logt
+
+        suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
+        j = np.nonzero(suspect)[0]
+        if j.size:
+            lwj = lw[j]
+            with np.errstate(over="ignore"):
+                decay = -np.exp(rho * lwj.real)  # log of the asymptotic remainder
+            fl_b = np.logaddexp(la + fl_s[j], lb + decay) if b != 0 else np.full(j.size, np.inf)
+            first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
+            forward = lwj.real <= math.log(radius(n + 1, rho))
+            fl_c = np.where(forward,
+                            np.logaddexp(lab + decay, la + _eps_floor(first, n + 1, lwj, rho)),
+                            np.inf)
+            use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
+            use_c = (fl_c < floor[j]) & (fl_c < fl_b)
+            jb, jc = j[use_b], j[use_c]
+            if jb.size:
+                e_log, e_ph = _ml_asym_batch(w[idx[jb]], rho, deriv)
+                val_log[jb], val_ph[jb] = _combine((a, s_s[jb], m_s[jb]),
+                                                   (b, np.exp(1j * e_ph), e_log))
+                floor[jb] = fl_b[use_b]
+            if jc.size:
+                if b == 0:
+                    kcut = kcut or cutoff()
+                    mt, _nu, st = _norm_sum(_log_terms(lw[jc], n + 1, kcut + 1, rho, deriv))
+                else:
+                    mt, st = m_t[jc], s_t[jc]
+                e_log, e_ph = _ml_asym_batch(w[idx[jc]], rho, deriv)
+                val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
+                                                   (-a, st, mt))
+                floor[jc] = fl_c[use_c]
+        out_log[idx] = val_log
+        out_ph[idx] = val_ph
+        out_floor[idx] = floor
+    return out_log, out_ph, out_floor
 
 
-def _rescue_points(idx: np.ndarray, ssec: np.ndarray, msec: np.ndarray,
-                   wv: np.ndarray, lam: complex, rho: float, deriv: bool,
-                   vals_log: np.ndarray, vals_ph: np.ndarray) -> None:
-    """Overwrite vals at idx with section - lam*E, E from the asymptotic form."""
-    sec = ssec[idx]
-    mag_s = np.abs(sec)
-    with np.errstate(divide="ignore"):
-        sl = np.where(mag_s > 0, np.log(np.maximum(mag_s, 1e-300)) + msec[idx], -np.inf)
-    sp = np.angle(sec)
-    ml_l, ml_p = _ml_asym_batch(wv, rho, deriv=deriv)
-    ml_l = ml_l + math.log(abs(lam))
-    ml_p = ml_p + cmath.phase(lam)
-    base = np.maximum(sl, ml_l)
+def _kernel_at(w: complex, n: int, rho: float, trunc: TruncationSpec,
+               a: complex, b: complex) -> tuple[ScaledComplex, float]:
+    """_series_kernel at one point: (value, log of its error floor)."""
+    log_mag, phase, floor = _series_kernel(np.array([complex(w)]), n, rho, trunc, a, b)
+    return _scaled(float(log_mag[0]), float(phase[0])), float(floor[0])
+
+
+def _eps_floor(m: np.ndarray, nu, logw: np.ndarray, rho: float) -> np.ndarray:
+    """Log of eps * max(1, |log-term|) * e^m for sums whose largest term,
+    e^m, sits at column nu; |log-term| is bounded by nu |log w| + |ln Gamma|."""
+    size = nu * np.abs(logw) + np.abs(_lgamma_table(rho, int(np.max(nu)) + 1)[nu])
+    return _LOG_EPS + np.log(np.maximum(1.0, size)) + m
+
+
+def _combine(p: tuple, q: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of coef * s * e^m over the parts (coef, s, m), per point, in log-polar form.
+
+    A part with coef 0 is left out; m may be -inf.
+    """
+    parts = [x for x in (p, q) if x is not None and x[0] != 0]
+    if len(parts) == 1:
+        coef, s, m = parts[0]
+        return _log_polar(coef * s, m)
+    (c1, s1, m1), (c2, s2, m2) = parts
+    base = np.maximum(m1, m2)
     base = np.where(np.isfinite(base), base, 0.0)
-    with np.errstate(under="ignore"):
-        v = np.where(sl > -np.inf, np.exp(sl - base + 1j * sp), 0.0) \
-            - np.where(ml_l > -np.inf, np.exp(ml_l - base + 1j * ml_p), 0.0)
-    mag_v = np.abs(v)
-    with np.errstate(divide="ignore"):
-        vals_log[idx] = np.where(mag_v > 0,
-                                 np.log(np.maximum(mag_v, 1e-300)) + base, -np.inf)
-    vals_ph[idx] = np.angle(v)
+    with np.errstate(under="ignore", invalid="ignore"):
+        total = c1 * np.where(m1 > -np.inf, s1 * np.exp(m1 - base), 0.0) \
+            + c2 * np.where(m2 > -np.inf, s2 * np.exp(m2 - base), 0.0)
+    return _log_polar(total, base)
+
+
+def _log_abs(c: complex) -> float:
+    return math.log(abs(c)) if c != 0 else -math.inf
+
+
+def _scaled(log_mag: float, phase: float) -> ScaledComplex:
+    if log_mag == -math.inf:
+        return SC_ZERO
+    return ScaledComplex(log_mag, _wrap_phase(phase))
 
 
 def _log_polar(vals: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,133 +1,41 @@
 """Scalar special functions: real log-gamma and the complex error function.
 
-ln_gamma uses the Lanczos approximation with the g=7, N=9 coefficient set
-(Godfrey's coefficients, as circulated via the GNU Scientific Library and
-Numerical Recipes 3rd ed.); double-precision relative error is below 1e-14
-across the positive axis.
-
-erfc uses the standard normalization erfc(z) = 1 - (2/sqrt(pi)) * int_0^z
-exp(-v^2) dv, so erfc(0) = 1 and erfc(+inf) = 0.  It is computed from the
-Maclaurin series of erf where that is cancellation-safe and from the
-Laplace continued fraction where erfc itself is small.
+Thin wrappers over math.lgamma and scipy.special (gammaln, erfc) that keep
+the package's domain checks: log-gamma is only defined here for x > 0.
+erfc uses the standard normalization erfc(z) = 1 - (2/sqrt(pi)) *
+int_0^z exp(-v^2) dv, so erfc(0) = 1 and erfc(+inf) = 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
+from scipy import special
 
 __all__ = ["ln_gamma", "ln_gamma_arr", "erf", "erfc"]
-
-_SQRT_PI = math.sqrt(math.pi)
-
-# Lanczos g=7 coefficients (Godfrey).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0."""
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 def ln_gamma_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized ln_gamma for arrays of positive reals (same Lanczos fit)."""
+    """Vectorized ln_gamma for arrays of positive reals."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("ln_gamma_arr requires all x > 0")
-    z = x - 1.0
-    s = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
-
-
-# Continued fraction is used once the real part is at least this large;
-# below it the erf series is cancellation-safe to better than 1e-10
-# relative (the worst case is on the real axis just left of the cutoff).
-_CF_RE_CUTOFF = 2.0
-_CF_MAX_ITER = 300
-_SERIES_MAX_ITER = 400
-_TINY = 1e-300
-
-
-def _erf_series(z: complex) -> complex:
-    """Maclaurin series of erf; safe when Re(z) is moderate."""
-    z2 = z * z
-    term = z
-    total = z
-    for k in range(1, _SERIES_MAX_ITER):
-        term *= -z2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) <= 1e-17 * abs(total) + _TINY:
-            break
-    else:
-        raise ArithmeticError(f"erf series failed to converge at z={z!r}")
-    return (2.0 / _SQRT_PI) * total
-
-
-def _erfc_cf(z: complex) -> complex:
-    """Laplace continued fraction for erfc, Re(z) > 0 (modified Lentz)."""
-    z2 = z * z
-    f = z2 + _TINY
-    c = f
-    d = 0.0 + 0.0j
-    for m in range(1, _CF_MAX_ITER):
-        a = 0.5 * m
-        b = z2 if m % 2 == 0 else 1.0 + 0.0j
-        # the leading convergent is b0 = z^2, partial quotients a_m / b_m
-        d = b + a * d
-        if d == 0:
-            d = _TINY
-        c = b + a / c
-        if c == 0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ArithmeticError(f"erfc continued fraction failed to converge at z={z!r}")
-    return z * cmath.exp(-z2) / (_SQRT_PI * f)
+    return special.gammaln(x)
 
 
 def erfc(zeta: complex) -> complex:
-    """Complementary error function on the complex plane.
-
-    Relative accuracy is better than 1e-10 for |zeta| <= 10.
-    """
-    z = complex(zeta)
-    if z.real < 0.0:
-        return 2.0 - erfc(-z)
-    if z.real >= _CF_RE_CUTOFF:
-        return _erfc_cf(z)
-    return 1.0 - _erf_series(z)
+    """Complementary error function on the complex plane."""
+    return complex(special.erfc(complex(zeta)))
 
 
 def erf(zeta: complex) -> complex:
     """Error function, erf(z) = 1 - erfc(z)."""
-    return 1.0 - erfc(complex(zeta))
+    return 1.0 - erfc(zeta)

@@ -224,6 +224,32 @@ def default_contour(ctx: MLContext, delta3: float = 0.2,
                        H=ctx.radius_value, ray_cutoff=ray_cutoff)
 
 
+def _kn_integral(z: complex, n: int, rho: float, wp: float, nu: float,
+                 cut: float) -> tuple[complex, float]:
+    """Integral of e^{wp t^rho} t^{-(n+1)} / (t - z) over the arc |t| = 1,
+    |arg t| <= nu, and the rays arg t = +-nu up to |t| = cut (t-plane,
+    H = 1), with quad's absolute error estimate."""
+
+    def cquad(f, a, b):
+        re, re_err = quad(lambda x: f(x).real, a, b, limit=400)
+        im, im_err = quad(lambda x: f(x).imag, a, b, limit=400)
+        return complex(re, im), math.hypot(re_err, im_err)
+
+    def arc(theta: float) -> complex:
+        t = cmath.exp(1j * theta)
+        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * 1j * t
+
+    def ray(s: float, sign: float) -> complex:
+        d = cmath.exp(1j * sign * nu)
+        t = s * d
+        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * d
+
+    a, e_a = cquad(arc, -nu, nu)
+    up, e_up = cquad(lambda s: ray(s, +1.0), 1.0, cut)
+    dn, e_dn = cquad(lambda s: ray(s, -1.0), 1.0, cut)
+    return a + up - dn, e_a + e_up + e_dn
+
+
 def kn_quadrature(z: complex, ctx: MLContext,
                   contour: ContourSpec | None = None) -> tuple[complex, float]:
     """Contour integral of e^{zeta^rho} zeta^{-(n+1)} / (zeta - R_n z) over
@@ -255,30 +281,13 @@ def kn_quadrature(z: complex, ctx: MLContext,
     if min(d_arc, d_ray) < 1e-6:
         raise ContourError("pole within 1e-6 R_n of the contour")
 
-    def arc_integrand(theta: float) -> complex:
-        t = cmath.exp(1j * theta)
-        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * 1j * t
-
-    def ray_integrand(s: float, sign: float) -> complex:
-        d = cmath.exp(1j * sign * nu)
-        t = s * d
-        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * d
-
-    def cquad(f, a, b):
-        re, re_err = quad(lambda x: f(x).real, a, b, limit=400)
-        im, im_err = quad(lambda x: f(x).imag, a, b, limit=400)
-        return complex(re, im), math.hypot(re_err, im_err)
-
-    arc, e_arc = cquad(arc_integrand, -nu, nu)
-    up, e_up = cquad(lambda s: ray_integrand(s, +1.0), 1.0, cut)
-    dn, e_dn = cquad(lambda s: ray_integrand(s, -1.0), 1.0, cut)
-    total = arc + up - dn
+    total, err = _kn_integral(z, n, rho, wp, nu, cut)
 
     # tail of each ray beyond the cutoff: |integrand| <= e^{wp s^rho cos(rho nu)}
     # s^{-(n+1)} / d_ray, and the exponent decays at rate >= wp rho cut^{rho-1}|cos|
     tail_log = wp * cut ** rho * crn - (n + 1) * math.log(cut) - math.log(d_ray)
     tail = math.exp(min(tail_log, 700.0)) / (wp * rho * cut ** (rho - 1.0) * abs(crn))
-    err = e_arc + e_up + e_dn + 2.0 * tail
+    err = err + 2.0 * tail
 
     scale = -(n + 1) * math.log(rn)  # zeta = R_n t rescaling factor
     return total * math.exp(scale), err * math.exp(scale)
@@ -295,26 +304,9 @@ def kn_ratio(z: complex, ctx: MLContext,
         contour = default_contour(ctx)
     nu, cut = contour.nu, contour.ray_cutoff
     wp = rn ** rho
-    crn = math.cos(rho * nu)
 
-    # same integrals as kn_quadrature but kept un-rescaled; combine in logs
-    def arc_integrand(theta: float) -> complex:
-        t = cmath.exp(1j * theta)
-        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * 1j * t
-
-    def ray_integrand(s: float, sign: float) -> complex:
-        d = cmath.exp(1j * sign * nu)
-        t = s * d
-        return cmath.exp(wp * t ** rho) * t ** (-(n + 1)) / (t - z) * d
-
-    def cquad(f, a, b):
-        re, _ = quad(lambda x: f(x).real, a, b, limit=400)
-        im, _ = quad(lambda x: f(x).imag, a, b, limit=400)
-        return complex(re, im)
-
-    q = (cquad(arc_integrand, -nu, nu)
-         + cquad(lambda s: ray_integrand(s, +1.0), 1.0, cut)
-         - cquad(lambda s: ray_integrand(s, -1.0), 1.0, cut))
+    # the integral of kn_quadrature, kept un-rescaled; combined in logs
+    q, _err = _kn_integral(z, n, rho, wp, nu, cut)
     if q == 0:
         return 0.0
     # ratio = rho R_n Gamma(1+n/rho) (1-z) K_n / (2 pi i), K_n = R_n^{-(n+1)} Q

@@ -166,6 +166,23 @@ def test_series_asymptotic_agreement_golden():
             assert math.exp(gap.log_mag) <= tol if not gap.is_zero else True
 
 
+def test_series_matches_golden_everywhere():
+    """ml_series on |z| = 20 against the frozen high-precision values.
+
+    In the decay sector the power series cancels from terms near e^{|z|^rho}
+    down to |E| = O(1/|z|), so the value must come from the asymptotic form
+    there.  rho = 4 needs ~6e5 series terms, beyond max_terms, and is left out.
+    """
+    with open(GOLDEN) as f:
+        data = json.load(f)
+    for e in data["entries"]:
+        if e["rho"] not in (1.5, 2.0):
+            continue
+        ref = ScaledComplex(e["log_mag"], e["phase"])
+        got = ml_series(complex(e["re"], e["im"]), e["rho"])
+        assert _rel(got, ref) <= 1e-5, (e["rho"], e["re"], e["im"])
+
+
 # ------------------------------------------------------ section/tail/combo
 
 def test_section_closed_forms():
@@ -276,3 +293,25 @@ def test_context_validation():
         MLContext(rho=0.8, n=5)
     with pytest.raises(ValueError):
         MLContext(rho=2.0, n=0)
+
+
+# (z, log|s_n(R_n z)|, arg s_n(R_n z)) at rho = 2, n = 600: the points
+# theorem4_frames(2, 600)[0].map(zeta) of the inner curve frame for
+# zeta = 1.5, -1.5, 1.5i, 0.75+0.75i, with s_n summed in 60-digit mpmath at
+# the exact R_n.  s_n cancels there by ~e^{20} below its largest term.
+_INNER_FRAME_N600 = [
+    (0.7844223452459711, 0.20355847300268606, 172.89019914221885, 1.4678424655842668),
+    (0.7892718090275993, 0.2094334198484671, 175.75371325149976, 2.94757795415611),
+    (0.7897845505596759, 0.20407121453476249, 174.9078648790804, -2.7567851286322687),
+    (0.7871034479028235, 0.20381484376872427, 173.73255399229106, 1.9861607300482045),
+]
+
+
+def test_section_rounding_floor_at_large_n():
+    # the ln Gamma(1 + k/rho) log-terms near k = 600 are rounded to ~2e-13
+    # absolute, so the direct sum is good only to that times e^{gap}; the
+    # error floor must say so and hand these points to E - t_{n+1}
+    ctx = MLContext(rho=2.0, n=600, lam=0.0)
+    for x, y, log_mag, phase in _INNER_FRAME_N600:
+        got = combo(complex(x, y), ctx)
+        assert _rel(got, ScaledComplex(log_mag, phase)) <= 1e-9
