@@ -191,24 +191,32 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
                      mu: float = 1.0) -> tuple[float, int, int]:
     """Peak value, its index, and the truncation index of the terms at |w| = e^lr.
 
-    The sequence k -> k lr - ln Gamma(mu + k/rho) is concave in k; ties (r
-    exactly at a jump point R_n) resolve to the larger index, matching the
-    right-continuity of the central index.  The cutoff is the first index
-    past the peak where terms drop below rel_tol of the peak, plus the tail
-    margin.
+    The cutoff is the first index past the peak whose term is below rel_tol
+    of the peak, plus the tail margin.  The log-terms
+    t_k = k lr - ln Gamma(mu + k/rho) are concave in k (ln Gamma is convex),
+    so once a term past the scanned maximum is lower than it, the maximum is
+    the peak of the whole sequence and every later term is lower still: the
+    first term below tolerance past the peak ends the scan, in whichever
+    chunk it falls.  Ties (r exactly at a jump radius R_n) resolve to the
+    larger index, matching the right-continuity of the central index.
+
+    The first chunk is sized from the central index nu(r) ~ rho r^rho: past
+    the peak the log-terms fall quadratically with curvature ~ 1/(rho nu),
+    so they lose |log rel_tol| within ~ sqrt(2 |log rel_tol| rho nu) terms;
+    the chunk takes about twice that to cover the slower fall at small nu.
+    The scan checks the estimate and goes on in doubled chunks if it falls
+    short.
+    Raises TruncationError when the cutoff exceeds max_terms.
     """
     log_tol = math.log(trunc.rel_tol)
     row = np.array([lr])
+    est = rho * math.exp(min(rho * lr, math.log(trunc.max_terms)))
+    hi = min(int(est + 3.0 * math.sqrt(-log_tol * rho * (est + 1.0))) + 1,
+             trunc.max_terms + 1)
     best = -math.inf
     nu = 0
     k0 = 0
-    chunk = 4096
     while True:
-        if k0 > trunc.max_terms:
-            raise TruncationError(
-                f"series did not converge within {trunc.max_terms} terms"
-            )
-        hi = k0 + chunk
         logt = _log_terms(row, k0, hi, rho, mu=mu)[0]
         m = float(logt.max())
         if m >= best:
@@ -216,13 +224,17 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
             idx = int(np.nonzero(logt == m)[0][-1])
             best = m
             nu = k0 + idx
-        if hi > nu + 1:
-            below = logt < best + log_tol
-            if below[-1] and k0 > nu:
-                # concave sequence: once below tolerance past the peak it stays below
-                first = k0 + int(np.argmax(below))
-                return best, nu, max(first, nu + 1) + trunc.tail_margin
-        k0 = hi
+        # the cutoff is at least hi + tail_margin while no term is below yet
+        past = max(nu + 1, k0)
+        below = np.flatnonzero(logt[past - k0:] < best + log_tol)
+        kcut = (past + int(below[0]) if below.size else hi) + trunc.tail_margin
+        if kcut > trunc.max_terms:
+            raise TruncationError(
+                f"series did not converge within {trunc.max_terms} terms"
+            )
+        if below.size:
+            return best, nu, kcut
+        k0, hi = hi, 2 * hi
 
 
 def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> MaxTermInfo:
@@ -452,15 +464,15 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     if live.size == 0:
         return out_log, out_ph, out_floor
     logw = np.log(w[live])
+    # C reads T only where |w| <= R_{n+1}, and needs it to rel_tol of its
+    # first term: there the tail falls from t_{n+1} at least as fast as at
+    # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
+    # covers every C point.  The cutoff grows with |w|, so for A one cutoff,
+    # set by the largest |w|, serves every point.
+    lr_fwd = math.log(radius(n + 1, rho))
     kcut = None
-
-    def cutoff() -> int:
-        # one cutoff for every point, set by the largest |w|
-        _peak, _nu, k = _peak_and_cutoff(float(logw.real.max()), rho, trunc)
-        return max(k, n + trunc.tail_margin)
-
     if b != 0:
-        kcut = cutoff()
+        kcut = _peak_and_cutoff(max(float(logw.real.max()), lr_fwd), rho, trunc)[2]
     width = n + 1 if kcut is None else kcut + 1
     chunk = max(1, 4_000_000 // width)
     for c0 in range(0, live.size, chunk):
@@ -486,7 +498,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
                 decay = -np.exp(rho * lwj.real)  # log of the asymptotic remainder
             fl_b = np.logaddexp(la + fl_s[j], lb + decay) if b != 0 else np.full(j.size, np.inf)
             first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
-            forward = lwj.real <= math.log(radius(n + 1, rho))
+            forward = lwj.real <= lr_fwd
             fl_c = np.where(forward,
                             np.logaddexp(lab + decay, la + _eps_floor(first, n + 1, lwj, rho)),
                             np.inf)
@@ -500,7 +512,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
                 floor[jb] = fl_b[use_b]
             if jc.size:
                 if b == 0:
-                    kcut = kcut or cutoff()
+                    kcut = kcut or _peak_and_cutoff(lr_fwd, rho, trunc)[2]
                     mt, _nu, st = _norm_sum(_log_terms(lw[jc], n + 1, kcut + 1, rho, deriv))
                 else:
                     mt, st = m_t[jc], s_t[jc]

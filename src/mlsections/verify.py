@@ -379,11 +379,16 @@ def theorem4_rhs(zeta: complex, frame: ScalingFrame4, lam: complex,
         R_n^rho = n/rho + e1 + (e2 + rho e1^2/2)/n, and
         ln Gamma(1 + n/rho) carries rho/(12 n).
       * part I frame: z = xi (1 + A/n), A = (log(n)/2 - zeta + i tau_n)
-        / (1 - xi^rho).  Expanding R_n^rho z^rho - n log z to second order
-        in A/n, with the Stirling terms above, gives
+        / (1 - xi^rho).  Expanding R_n^rho z^rho - n log z in A/n, with
+        the Stirling terms above, gives
           delta = [A^2 ((rho-1) xi^rho + 1)/2 + (rho-1) xi^rho A/2
-                   + e2 (xi^rho - 1) + rho e1^2 xi^rho/2 + rho/12] / n,
-        and S = 1 (the algebraic terms of E are exponentially small in
+                   + e2 (xi^rho - 1) + rho e1^2 xi^rho/2 + rho/12] / n
+                  + [A^3 (xi^rho (rho-1)(rho-2)/6 - 1/3)
+                     + xi^rho (rho-1)^2 A^2/4] / n^2;
+        the A^3 term is the third order of (n/rho) z^rho - n log z, the
+        last one e1 times the second order of z^rho.  Without the 1/n^2
+        terms the residual rises between nearby n where |tau_n| is near
+        pi.  S = 1 (the algebraic terms of E are exponentially small in
         the sector).
       * part II frame: (n+1) log(z/xi) = B + (1/2 - 1/rho) log(n)/n
         - B^2/(2n) + O(B^3/n^2) with B = (1/2 - 1/rho) log n + zeta
@@ -423,8 +428,10 @@ def theorem4_rhs(zeta: complex, frame: ScalingFrame4, lam: complex,
     e2 = 0.25 - rho / 12.0 - 1.0 / (6.0 * rho)
     if frame.part == "I":
         a = (0.5 * math.log(n) - zeta + 1j * frame.tau_n) / (1.0 - xr)
-        delta = (a * a * ((rho - 1.0) * xr + 1.0) / 2.0 + (rho - 1.0) * xr * a / 2.0
-                 + e2 * (xr - 1.0) + rho * e1 * e1 * xr / 2.0 + rho / 12.0) / n
+        delta = ((a * a * ((rho - 1.0) * xr + 1.0) / 2.0 + (rho - 1.0) * xr * a / 2.0
+                  + e2 * (xr - 1.0) + rho * e1 * e1 * xr / 2.0 + rho / 12.0) / n
+                 + (a ** 3 * (xr * (rho - 1.0) * (rho - 2.0) / 6.0 - 1.0 / 3.0)
+                    + xr * (rho - 1.0) ** 2 * a * a / 4.0) / n ** 2)
         series = 1.0
     else:
         lead = (0.5 - 1.0 / rho) * math.log(n)

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from mlsections.mitlef import (
+    DEFAULT_TRUNC,
     MLContext,
+    TruncationError,
+    TruncationSpec,
+    _log_terms,
+    _peak_and_cutoff,
     combo,
     combo_batch,
     combo_derivative,
@@ -76,6 +81,55 @@ def test_central_index_jumps(rho):
 
 def test_max_term_small_r():
     assert max_term(1e-12, 2.0).nu == 0
+
+
+def _brute_cutoff(lr, rho, mu=1.0):
+    """Peak, its last index and the cutoff, from one long row of log-terms."""
+    t = _log_terms(np.array([lr]), 0, 20_000, rho, mu=mu)[0]
+    nu = int(np.flatnonzero(t == t.max())[-1])
+    first = nu + 1 + int(np.argmax(t[nu + 1:] < t[nu] + math.log(DEFAULT_TRUNC.rel_tol)))
+    assert first < len(t) - 1
+    return float(t[nu]), nu, first + DEFAULT_TRUNC.tail_margin
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_cutoff_matches_brute_force(rho):
+    for mu in (1.0, 1.7, 3.0):
+        # log r from -3 up to a central index of ~10^4
+        for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
+            assert _peak_and_cutoff(lr, rho, DEFAULT_TRUNC, mu) == _brute_cutoff(lr, rho, mu)
+    for n in range(1, 60):
+        # exactly at a jump radius the larger index wins a tie
+        lr = math.log(radius(n, rho))
+        got = _peak_and_cutoff(lr, rho, DEFAULT_TRUNC)
+        assert got == _brute_cutoff(lr, rho)
+        assert got[1] in (n - 1, n)
+    # an exact floating-point tie: rho = 1, r = R_1 = 1, terms 1/k!
+    assert _peak_and_cutoff(0.0, 1.0, DEFAULT_TRUNC)[1] == 1
+
+
+def test_cutoff_well_below_old_floor_on_acceptance_window():
+    # the scan used to return from its second 4096-term chunk only
+    for n in (20, 50, 100):
+        lr = math.log(radius(n, 2.0) * abs(1.8 + 1.8j))
+        kcut = _peak_and_cutoff(lr, 2.0, DEFAULT_TRUNC)[2]
+        assert kcut == _brute_cutoff(lr, 2.0)[2]
+        assert kcut < 4160
+
+
+def test_truncation_budget():
+    lr = math.log(radius(50, 2.0) * abs(1.8 + 1.8j))
+    kcut = _peak_and_cutoff(lr, 2.0, DEFAULT_TRUNC)[2]
+    assert _peak_and_cutoff(lr, 2.0, TruncationSpec(max_terms=kcut))[2] == kcut
+    with pytest.raises(TruncationError):
+        _peak_and_cutoff(lr, 2.0, TruncationSpec(max_terms=kcut - 1))
+    with pytest.raises(TruncationError):
+        max_term(1.0, 2.0, TruncationSpec(max_terms=16))
+    with pytest.raises(TruncationError):
+        ml_mu(0.5, 2.0, 1.5, TruncationSpec(max_terms=16))
+    # the peak itself lies past the budget (central index ~ 6.5e5)
+    with pytest.raises(TruncationError):
+        max_term(20.0, 4.0)
 
 
 # ----------------------------------------------------------------- series
@@ -315,3 +369,21 @@ def test_section_rounding_floor_at_large_n():
     for x, y, log_mag, phase in _INNER_FRAME_N600:
         got = combo(complex(x, y), ctx)
         assert _rel(got, ScaledComplex(log_mag, phase)) <= 1e-9
+
+
+# (z, log|s_n(R_n z)|, arg s_n(R_n z)) at rho = 2, n = 300, summed in
+# 60-digit mpmath at the double R_n.  These points take E - t_{n+1}; the
+# row's peak sits near k = 140, far above t_{n+1}, and the tail terms fall
+# only by ~e^{-0.37} each, so t_{n+1} needs ~90 terms of its own.
+_FORWARD_TAIL_N300 = [
+    (-0.27, -0.6300000000000001, 32.78071311806498, -1.380944543621943),
+    (0.2699999999999998, -0.6300000000000001, 33.16635756624311, -2.93071099797245),
+]
+
+
+def test_forward_tail_summed_to_its_own_tolerance():
+    ctx = MLContext(rho=2.0, n=300, lam=0.0)
+    for x, y, log_mag, phase in _FORWARD_TAIL_N300:
+        got = combo(complex(x, y), ctx)
+        assert _rel(got, ScaledComplex(log_mag, phase)) <= 4e-13
+

@@ -23,6 +23,7 @@ from mlsections.verify import (
     suite_lemma4,
     suite_theorem1,
     suite_theorem3,
+    suite_theorem4,
     theorem1_check,
     theorem1_rhs,
     theorem3_pair,
@@ -191,6 +192,14 @@ def test_theorem4_correction_vanishes_with_n():
                          - theorem4_rhs(zt, frame, lam)))
     assert all(b < a for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] < 0.05 * sizes[0]
+
+
+def test_theorem4_next_order_does_not_rise_over_nearby_n():
+    # without the A^3/n^2 and xi^rho A^2/n^2 exponent terms the inner-frame
+    # lam=0 sup rises from n=75 to 100 and from 200 to 300, and the outer
+    # lam=1 one from 100 to 150, where |tau_n| is near pi
+    rep = suite_theorem4(rho=2.0, lam_list=(0.0, 1.0), n_list=(75, 100, 150, 200, 300))
+    assert rep["pass"] is True
 
 
 # ------------------------------------------------------------- suites
