@@ -210,9 +210,7 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
     """
     log_tol = math.log(trunc.rel_tol)
     row = np.array([lr])
-    est = rho * math.exp(min(rho * lr, math.log(trunc.max_terms)))
-    hi = min(int(est + 3.0 * math.sqrt(-log_tol * rho * (est + 1.0))) + 1,
-             trunc.max_terms + 1)
+    hi = _first_scan_end(lr, rho, trunc)
     best = -math.inf
     nu = 0
     k0 = 0
@@ -235,6 +233,13 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
         if below.size:
             return best, nu, kcut
         k0, hi = hi, 2 * hi
+
+
+def _first_scan_end(lr: float, rho: float, trunc: TruncationSpec) -> int:
+    """End of the first cutoff-scan chunk at |w| = e^lr (see _peak_and_cutoff)."""
+    est = rho * math.exp(min(rho * lr, math.log(trunc.max_terms)))
+    return min(int(est + 3.0 * math.sqrt(-math.log(trunc.rel_tol) * rho * (est + 1.0))) + 1,
+               trunc.max_terms + 1)
 
 
 def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> MaxTermInfo:
@@ -420,6 +425,8 @@ def combo_batch(zs: np.ndarray, ctx: MLContext, deriv: bool = False
 
 
 _LOG_EPS = math.log(2.0 ** -52)
+# elements of the widest row array one _series_kernel chunk builds
+_CHUNK_ELEMENTS = 1 << 14
 # A is suspect once its error floor comes within e^13.8 (~1e6) of its value
 _SUSPECT_GAP = 13.8
 
@@ -446,7 +453,10 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     to eps of its own size before it is exponentiated.  A is used unless it
     is suspect (its floor within e^13.8 of its value) and B or C promises a
     lower floor.  T is computed only where it is read: always when b != 0,
-    otherwise on the points routed to C.
+    otherwise on the points routed to C.  When b != 0, a point whose central
+    index rho |w|^rho exceeds max_terms, and where B's remainder
+    e^{-|w|^rho} is below rel_tol, takes B and does not set the cutoff;
+    past the budget every other point still raises TruncationError.
     """
     a, b = complex(a), complex(b)
     la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
@@ -468,16 +478,26 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     # first term: there the tail falls from t_{n+1} at least as fast as at
     # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
     # covers every C point.  The cutoff grows with |w|, so for A one cutoff,
-    # set by the largest |w|, serves every point.
+    # set by the largest |w| not sent to B up front, serves every point.
     lr_fwd = math.log(radius(n + 1, rho))
-    kcut = None
+    kcut = far = None
     if b != 0:
-        kcut = _peak_and_cutoff(max(float(logw.real.max()), lr_fwd), rho, trunc)[2]
+        lr_max = float(logw.real.max())
+        lr_far = max(math.log(trunc.max_terms / rho), math.log(-math.log(trunc.rel_tol))) / rho
+        if lr_max > lr_far:
+            far = logw.real > lr_far
+            lr_max = float(np.max(logw.real[~far], initial=lr_fwd))
+        kcut = _peak_and_cutoff(max(lr_max, lr_fwd), rho, trunc)[2]
     width = n + 1 if kcut is None else kcut + 1
-    chunk = max(1, 4_000_000 // width)
+    # chunks are sized from the widest row array built: the series rows, the
+    # asymptotic rows, or the C-route tail to (about) the R_{n+1} cutoff,
+    # which a b != 0 row already covers
+    c_width = 0 if kcut else _first_scan_end(lr_fwd, rho, trunc) + trunc.tail_margin - n
+    chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
     for c0 in range(0, live.size, chunk):
         idx = live[c0:c0 + chunk]
         lw = logw[c0:c0 + chunk]
+        fc = None if far is None else far[c0:c0 + chunk]
         logt = _log_terms(lw, 0, width, rho, deriv)
         m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1])
         fl_s = _eps_floor(m_s, nu_s, lw, rho)
@@ -491,6 +511,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
         del logt
 
         suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
+        if fc is not None:
+            suspect |= fc
         j = np.nonzero(suspect)[0]
         if j.size:
             lwj = lw[j]
@@ -503,6 +525,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
                             np.logaddexp(lab + decay, la + _eps_floor(first, n + 1, lwj, rho)),
                             np.inf)
             use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
+            if fc is not None:
+                use_b |= fc[j]
             use_c = (fl_c < floor[j]) & (fl_c < fl_b)
             jb, jc = j[use_b], j[use_c]
             if jb.size:

@@ -127,7 +127,8 @@ def sc_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
     r = abs(m)
     if r < _CANCEL_FLOOR:
         return SC_ZERO
-    return ScaledComplex(a.log_mag + math.log(r), _wrap_phase(cmath.phase(m)))
+    # math.atan2, as in sc_from_complex: cmath.phase raises on underflow
+    return ScaledComplex(a.log_mag + math.log(r), _wrap_phase(math.atan2(m.imag, m.real)))
 
 
 def sc_sub(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from mlsections import mitlef
 from mlsections.mitlef import (
     DEFAULT_TRUNC,
     MLContext,
@@ -130,6 +131,14 @@ def test_truncation_budget():
     # the peak itself lies past the budget (central index ~ 6.5e5)
     with pytest.raises(TruncationError):
         max_term(20.0, 4.0)
+    # past the budget the asymptotic form serves where e^{-|w|^rho} is below
+    # rel_tol (|w| = 7: central index 98 > 40), and only there (|w| = 5:
+    # central index 50 > 40, but e^{-25} is above rel_tol)
+    small = TruncationSpec(max_terms=40, tail_margin=1)
+    for w in (7.0, -7.0, 7.0j):
+        assert _rel(ml_series(w, 2.0, small), ml_series(w, 2.0)) < 1e-13
+    with pytest.raises(TruncationError):
+        ml_series(5.0, 2.0, small)
 
 
 # ----------------------------------------------------------------- series
@@ -225,13 +234,13 @@ def test_series_matches_golden_everywhere():
 
     In the decay sector the power series cancels from terms near e^{|z|^rho}
     down to |E| = O(1/|z|), so the value must come from the asymptotic form
-    there.  rho = 4 needs ~6e5 series terms, beyond max_terms, and is left out.
+    there.  At rho = 4 the series would need ~6e5 terms, beyond max_terms,
+    so every point takes the asymptotic form.
     """
     with open(GOLDEN) as f:
         data = json.load(f)
+    assert {e["rho"] for e in data["entries"]} == {1.5, 2.0, 4.0}
     for e in data["entries"]:
-        if e["rho"] not in (1.5, 2.0):
-            continue
         ref = ScaledComplex(e["log_mag"], e["phase"])
         got = ml_series(complex(e["re"], e["im"]), e["rho"])
         assert _rel(got, ref) <= 1e-5, (e["rho"], e["re"], e["im"])
@@ -303,6 +312,23 @@ def test_combo_batch_matches_scalar():
     for z, l, p in zip(zs, lm, ph):
         c = combo(complex(z), ctx)
         assert l == pytest.approx(c.log_mag, abs=1e-9)
+
+
+def test_combo_batch_lam0_rows_do_not_depend_on_the_batch():
+    """At lam = 0 there is no batch-wide cutoff: each point's value is the
+    same, bit for bit, in any batch, across chunk boundaries too."""
+    ctx = MLContext(rho=2.0, n=100, lam=0.0)
+    m = 2 * (mitlef._CHUNK_ELEMENTS // (ctx.n + 1)) + 3  # at least three chunks
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-1.8, 1.8, m) + 1j * rng.uniform(-1.8, 1.8, m)
+    for deriv in (False, True):
+        full = combo_batch(zs, ctx, deriv)
+        head, rest = combo_batch(zs[:1000], ctx, deriv), combo_batch(zs[1000:], ctx, deriv)
+        for whole, a, b in zip(full, head, rest):
+            assert np.array_equal(whole, np.concatenate([a, b]))
+        for i in range(0, m, 97):
+            one = combo_batch(zs[i:i + 1], ctx, deriv)
+            assert one[0][0] == full[0][i] and one[1][0] == full[1][i]
 
 
 def test_combo_normalized_definition_and_regime():

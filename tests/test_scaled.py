@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mlsections.scaled import (
     SC_ZERO,
@@ -65,6 +65,7 @@ def test_to_complex_overflow():
 
 
 @given(finite, phases, finite, phases)
+@example(0.0, 0.0, 0.0, 5e-324)  # the phase of the sum underflows
 def test_add_commutative(l1, p1, l2, p2):
     a, b = ScaledComplex(l1, p1), ScaledComplex(l2, p2)
     u = sc_add(a, b)

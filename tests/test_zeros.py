@@ -9,8 +9,12 @@ import pytest
 from mlsections.mitlef import MLContext, radius
 from mlsections.specfun import ln_gamma
 from mlsections.zeros import (
+    BoundaryZeroError,
     Window,
     ZeroRecord,
+    _certify,
+    _newton_polish,
+    _winding_numbers,
     locate_zeros,
     poly_zeros,
     strip_filter,
@@ -91,6 +95,58 @@ def test_winding_additivity_random_splits():
         left = Window(outer.re_min, x, outer.im_min, outer.im_max)
         right = Window(x, outer.re_max, outer.im_min, outer.im_max)
         assert winding_number(ctx, left) + winding_number(ctx, right) == total
+
+
+def test_multi_rectangle_count_fails_only_the_stalled_rectangle():
+    # rho = 1, n = 1: I = 1 + z, and the left edge of the second rectangle
+    # runs through its zero at -1, which refinement cannot resolve
+    ctx = MLContext(rho=1.0, n=1, lam=0.0)
+    rects = [Window(-3.0, 0.0, -1.0, 1.0), Window(-1.0, 3.0, -2.0, 2.0),
+             Window(0.5, 1.5, -1.0, 1.0), Window(-1.5, -0.5, -0.5, 0.5)]
+    assert _winding_numbers(ctx, rects) == [1, None, 0, 1]
+    with pytest.raises(BoundaryZeroError):
+        winding_number(ctx, rects[1])
+    assert [winding_number(ctx, r) for r in rects[::2]] == [1, 0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 0.5])
+def test_multi_rectangle_count_matches_one_at_a_time(lam):
+    ctx = MLContext(rho=2.0, n=12, lam=lam)
+    rng = np.random.default_rng(3)
+    rects = []
+    for _ in range(8):
+        x, y = sorted(rng.uniform(-1.8, 1.8, 2)), sorted(rng.uniform(-1.8, 1.8, 2))
+        rects.append(Window(x[0], x[1], y[0], y[1]))
+    assert _winding_numbers(ctx, rects) == [winding_number(ctx, r) for r in rects]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 0.5])
+def test_batched_polish_and_certify_match_one_at_a_time(lam):
+    """One batch gives the records of the same starts polished one by one.
+
+    At lam = 0 every evaluation is independent of the batch, so the records
+    are bit-identical.  Otherwise the series cutoff is shared by the batch
+    and values move at rounding level: roots agree to 1e-12 and the flags
+    exactly; ln|I| at a root is rounding noise and is not compared.
+    """
+    ctx = MLContext(rho=2.0, n=12, lam=lam)
+    rng = np.random.default_rng(5)
+    near = [r.location + 1e-3 for r in locate_zeros(ctx, WINDOW).records[:6]]
+    starts = np.concatenate([near, rng.uniform(-1.5, 1.5, 10) + 1j * rng.uniform(-1.5, 1.5, 10),
+                             [0.0]])
+    z, res, ok, unc = _newton_polish(starts, ctx, 1e-10)
+    cert = np.zeros(len(starts), dtype=bool)
+    cert[ok] = _certify(z[ok], ctx, 1e-10, unc[ok])
+    assert ok[:len(near)].all() and cert[:len(near)].all()
+    for k, z0 in enumerate(starts):
+        z1, res1, ok1, unc1 = _newton_polish(np.array([z0]), ctx, 1e-10)
+        assert ok1[0] == ok[k]
+        if ok1[0]:
+            assert _certify(z1, ctx, 1e-10, unc1)[0] == cert[k]
+        if lam == 0:
+            assert (z1[0], res1[0], unc1[0]) == (z[k], res[k], unc[k])
+        else:
+            assert abs(z1[0] - z[k]) <= 1e-12 * max(1.0, abs(z[k]))
 
 
 # --------------------------------------------------------- locate_zeros
