@@ -1,12 +1,21 @@
 """Zero location for the section/tail combination inside a window.
 
 For lam = 0 the combination is the polynomial section and all n roots are
-found at once by Aberth-Ehrlich simultaneous iteration.  For general lam
-a quadtree of winding numbers (argument principle on rectangle boundaries)
-isolates the zeros.  Roots are polished by Newton steps on the scaled
-evaluation and certified by a winding count of 1 in a small box, both as
-batches: each Newton iteration and each refinement pass of the winding
-count evaluates every root or rectangle still open in one call.
+found at once by Aberth-Ehrlich simultaneous iteration.  Its Newton ratio
+comes from the scaled series kernel, never from polynomial coefficients,
+so n has no overflow limit, and each root stops once its step is at
+rounding level or |s_n| is within e^2 of the kernel's rounding floor.
+The roots are certified by Gerschgorin inclusion disks built from the
+Weierstrass corrections (MPSolve's test: O(n^2) flops, one evaluation
+per root); a root whose disk is not isolated, or is too wide, falls back
+to the winding count below.
+
+For general lam a quadtree of winding numbers (argument principle on
+rectangle boundaries) isolates the zeros.  Roots are polished by Newton
+steps on the scaled evaluation and certified by a winding count of 1 in a
+small box, both as batches: each Newton iteration and each refinement
+pass of the winding count evaluates every root or rectangle still open in
+one call.
 
 For lam = 1 the combination is minus the tail, which has a zero of
 multiplicity n + 1 at the origin.  All winding arithmetic then runs on
@@ -25,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import asymptote_distance
-from .mitlef import MLContext, combo_batch, radius
-from .specfun import ln_gamma_arr
+from .mitlef import MLContext, _series_kernel, combo_batch
+from .specfun import ln_gamma, ln_gamma_arr
 
 __all__ = [
     "Window",
@@ -261,15 +270,21 @@ def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float, max_iter: int = 3
     return z, res, ok, unc
 
 
+def _start_side(zs: np.ndarray, tol: float, radius_unc: np.ndarray) -> np.ndarray:
+    """Half-side of the first certification box around each root: above both
+    the polish tolerance and the evaluation-noise radius."""
+    return np.maximum(max(10.0 * tol, 1e-9), np.maximum(np.abs(zs) * 1e-12, 50.0 * radius_unc))
+
+
 def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray) -> np.ndarray:
     """Whether a box around each root has winding number 1.
 
-    Boxes start above both the polish tolerance and the evaluation-noise
-    radius, and grow until the boundary phases are clean: within the noise
-    radius the winding integral cannot settle, but any box well below the
-    inter-zero spacing still isolates a single zero.
+    Boxes start at _start_side and grow tenfold, up to four times, until the
+    boundary phases are clean: within the noise radius the winding integral
+    cannot settle, but any box well below the inter-zero spacing still
+    isolates a single zero.
     """
-    side = np.maximum(max(10.0 * tol, 1e-9), np.maximum(np.abs(zs) * 1e-12, 50.0 * radius_unc))
+    side = _start_side(zs, tol, radius_unc)
     cert = np.zeros(zs.size, dtype=bool)
     todo = np.arange(zs.size)
     for _ in range(5):
@@ -283,44 +298,102 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
     return cert
 
 
-def _aberth(c: np.ndarray, r0: float) -> np.ndarray:
-    """Roots of the monic sum_k c_k x^k by Aberth-Ehrlich iteration from radius r0."""
-    n = len(c) - 1
-    pc, pdc = c[::-1].astype(complex), (c[1:] * np.arange(1, n + 1))[::-1].astype(complex)
-    roots = r0 * np.exp(1j * (2.0 * math.pi * np.arange(n) / n + 0.4 / n))
-    diff = np.empty((n, n), dtype=complex)  # the one n x n array, reused
+def _section(z: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|s_n|, arg s_n, log of its error floor) at R_n z."""
+    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, ctx.trunc, 1.0, 0.0)
+
+
+def _log_lead(ctx: MLContext) -> float:
+    """log of the leading coefficient R_n^n / Gamma(1 + n/rho) of s_n(R_n z)."""
+    return ctx.n * math.log(ctx.radius_value) - ln_gamma(1.0 + ctx.n / ctx.rho)
+
+
+def _aberth(ctx: MLContext, buf: np.ndarray) -> np.ndarray:
+    """All n roots of s_n(R_n z) by Aberth-Ehrlich iteration on the scaled kernel.
+
+    Starts on the circle of the roots' geometric-mean modulus.  A root stops
+    once its step is below 1e-14 relative or its log|s_n| is within 2 of the
+    kernel's rounding floor; only the roots still iterating are evaluated.
+    buf is the n x n scratch array of the pairwise reciprocals.
+    """
+    n = ctx.n
+    act = np.arange(n)
+    z = math.exp(-_log_lead(ctx) / n) * np.exp(1j * (2.0 * math.pi * act / n + 0.4 / n))
     for _ in range(400):
-        dp = np.polyval(pdc, roots)
-        newton = np.polyval(pc, roots) / np.where(dp == 0, 1e-300, dp)
-        np.subtract.outer(roots, roots, out=diff)
-        np.fill_diagonal(diff, np.inf)
+        f_lm, f_ph, floor = _section(z[act], ctx)
+        live = f_lm > floor + 2.0
+        act, f_lm, f_ph = act[live], f_lm[live], f_ph[live]
+        if not act.size:
+            return z
+        d_lm, d_ph = combo_batch(z[act], ctx, deriv=True)
+        newton = np.exp(np.minimum(f_lm - d_lm, 100.0) + 1j * (f_ph - d_ph))
+        diff = np.subtract.outer(z[act], z, out=buf[:act.size])
+        diff[np.arange(act.size), act] = np.inf
         denom = 1.0 - newton * np.sum(np.divide(1.0, diff, out=diff), axis=1)
-        step = newton / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        roots = roots - step
-        if np.max(np.abs(step) / (1.0 + np.abs(roots))) < 1e-15:
-            return roots
-    warnings.warn("Aberth iteration budget exhausted; roots may be unpolished",
+        step = newton / np.where(denom == 0, 1e-300, denom)
+        z[act] -= step
+        act = act[np.abs(step) > 1e-14 * (1.0 + np.abs(z[act]))]
+    warnings.warn(f"{act.size} Aberth roots neither converged nor reached the rounding floor",
                   ClusterWarning, stacklevel=3)
-    return roots
+    return z
+
+
+def _inclusion(ctx: MLContext, z: np.ndarray, cap: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Whether the Gerschgorin inclusion disk of each of the n points z
+    certifies a root of s_n(R_n z).
+
+    With the Weierstrass corrections W_i = p(z_i) / (a_n prod_{j!=i} (z_i - z_j))
+    of p(z) = s_n(R_n z), the roots of p are the eigenvalues of diag(z) - 1 W^T,
+    so a disk D(z_i, n |W_i|) disjoint from every other disk holds exactly one
+    root.  |p(z_i)| is bounded by the computed value plus its rounding floor.
+    A disk counts only if its radius is at most cap.  buf holds the n x n
+    distances and their logs.
+    """
+    n = z.size
+    f_lm, _ph, floor = _section(z, ctx)
+    dist, logd = buf.view(float).reshape(2, n, n)  # the complex buffer as two real halves
+    np.subtract.outer(z.real, z.real, out=dist)
+    np.subtract.outer(z.imag, z.imag, out=logd)
+    np.hypot(dist, logd, out=dist)
+    np.fill_diagonal(dist, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = np.logaddexp(f_lm, floor) - _log_lead(ctx) - np.log(dist, out=logd).sum(axis=1)
+        r = n * np.exp(log_w)
+    np.subtract(dist, r, out=logd)
+    np.fill_diagonal(logd, np.inf)
+    return (r <= cap) & (logd.min(axis=1) > r)
+
+
+def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
+                   radius_unc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Certified flags for n polished approximations z of the roots of s_n(R_n z).
+
+    A root is certified by its inclusion disk when that is isolated and no
+    larger than the biggest box _certify would try; the other roots that
+    polished (ok) are counted by _certify.  A winding box certifies its
+    root only if no other point lies within 1.5 cap (beyond the corners of
+    the largest box it may grow to), so two points on one root are never
+    both certified.
+    """
+    cap = 1e4 * _start_side(z, tol, radius_unc)
+    cert = ok & _inclusion(ctx, z, cap, buf)
+    rest = np.nonzero(ok & ~cert)[0]
+    if rest.size:
+        near = np.abs(np.subtract.outer(z[rest], z, out=buf[:rest.size])) < 1.5 * cap[rest, None]
+        cert[rest] = _certify(z[rest], ctx, tol, radius_unc[rest]) & (near.sum(axis=1) == 1)
+    return cert
 
 
 def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:
-    """All n roots of the section s_n(R_n z) by Aberth-Ehrlich iteration,
-    polished and certified as one batch."""
+    """All n roots of the section s_n(R_n z): Aberth-Ehrlich iteration on the
+    scaled kernel, Newton polish, then inclusion disks with a winding-count
+    fallback, each as one batch."""
     if ctx.lam != 0:
         raise ValueError("poly_zeros requires lam = 0")
-    n, rho = ctx.n, ctx.rho
-    k = np.arange(n + 1, dtype=float)
-    logc = k * math.log(radius(n, rho)) - ln_gamma_arr(1.0 + k / rho)
-    if (spread := logc.max() - logc.min()) > 600.0:
-        raise OverflowError(
-            f"coefficient spread e^{spread:.0f} exceeds double range; n too large")
-    c = np.exp(logc - logc[n])  # monic normalization
-    roots = (np.array([-c[0] / c[1]], dtype=complex) if n == 1
-             else _aberth(c, math.exp((logc[0] - logc[n]) / n)))
+    buf = np.empty((ctx.n, ctx.n), dtype=complex)  # the one n x n array, reused
+    roots = _aberth(ctx, buf)
     z, res, ok, runc = _newton_polish(roots[np.lexsort((roots.imag, roots.real))], ctx, tol)
-    cert = np.zeros(n, dtype=bool)
-    cert[ok] = _certify(z[ok], ctx, tol, runc[ok])
+    cert = _certify_roots(ctx, z, ok, tol, runc, buf)
     return [ZeroRecord(complex(a), float(r), bool(c)) for a, r, c in zip(z, res, cert)]
 
 

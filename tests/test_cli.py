@@ -119,6 +119,15 @@ def test_zeros_strip_width(capsys):
     assert any(r["near_asymptote"] for r in data["records"])
 
 
+def test_zeros_lambda0_large_n_all_certified(capsys):
+    code, out, _ = run(["zeros", "--rho", "2", "--n", "400", "--lambda", "0",
+                        "--window", "-2,2,-2,2"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["records"]) == 400
+    assert all(r["certified"] for r in data["records"])
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_lemma1_passes(capsys):

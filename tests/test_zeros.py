@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,8 +13,12 @@ from mlsections.zeros import (
     BoundaryZeroError,
     Window,
     ZeroRecord,
+    _aberth,
     _certify,
+    _certify_roots,
+    _inclusion,
     _newton_polish,
+    _start_side,
     _winding_numbers,
     locate_zeros,
     poly_zeros,
@@ -67,6 +72,92 @@ def test_poly_zeros_count_and_conjugacy(rho, n):
     # real coefficients: zero set closed under conjugation
     assert _match_distance(locs, [z.conjugate() for z in locs]) < 1e-9
     assert all(r.certified for r in recs)
+
+
+def _oracle_newton_distance(rho, n, zs, dps=80):
+    """|s_n / (R_n s_n')| at R_n z for each z, by Horner in mpmath with the
+    exact R_n: the distance Newton's method would still move each root."""
+    with mp.workdps(dps):
+        rn = mp.gamma(1 + mp.mpf(n) / rho) / mp.gamma(1 + mp.mpf(n - 1) / rho)
+        coef = [1 / mp.gamma(1 + mp.mpf(k) / rho) for k in range(n + 1)]
+        out = []
+        for z in zs:
+            w = rn * mp.mpc(z)
+            p, dp = coef[n], mp.mpc(0)
+            for c in reversed(coef[:n]):
+                dp = dp * w + p
+                p = p * w + c
+            out.append(float(abs(p / (rn * dp))))
+    return out
+
+
+@pytest.mark.filterwarnings("error::mlsections.zeros.ClusterWarning")
+def test_poly_zeros_n196_against_oracle():
+    """All 196 roots at n = 196, where the coefficients of s_n(R_n z) span
+    e^95: distinct, certified, closed under conjugation, and each within
+    1e-8 Newton distance of a root."""
+    rho, n = 2.0, 196
+    recs = poly_zeros(MLContext(rho=rho, n=n, lam=0.0))
+    assert len(recs) == n and all(r.certified for r in recs)
+    locs = np.array([r.location for r in recs])
+    gaps = np.abs(locs[:, None] - locs[None, :]) + np.diag(np.full(n, np.inf))
+    assert gaps.min() > 1e-3
+    assert _match_distance(locs, locs.conj()) < 1e-8
+    assert max(_oracle_newton_distance(rho, n, locs)) < 1e-8
+
+
+def _polished_roots(rho, n, tol=1e-12):
+    ctx = MLContext(rho=rho, n=n, lam=0.0)
+    roots = _aberth(ctx, np.empty((n, n), dtype=complex))
+    z, _res, ok, unc = _newton_polish(roots, ctx, tol)
+    assert ok.all()
+    return ctx, z, unc
+
+
+@pytest.mark.parametrize("rho,n", [(2.0, 50), (4.0, 25), (1.5, 60)])
+def test_inclusion_disks_agree_with_winding(rho, n):
+    ctx, z, unc = _polished_roots(rho, n)
+    cap = 1e4 * _start_side(z, 1e-12, unc)
+    by_disk = _inclusion(ctx, z, cap, np.empty((n, n), dtype=complex))
+    by_winding = _certify(z, ctx, 1e-12, unc)
+    assert by_disk.all()
+    assert np.array_equal(by_disk, by_winding)
+
+
+def test_duplicated_root_falls_back_and_is_uncertified():
+    """Two records on one root: the duplicate's disk is unbounded, so every
+    root goes to the winding count, which certifies all but the pair."""
+    n = 50
+    ctx, z, unc = _polished_roots(2.0, n)
+    z[7] = z[3]
+    buf = np.empty((n, n), dtype=complex)
+    assert not _inclusion(ctx, z, np.full(n, np.inf), buf).any()
+    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), 1e-12, unc, buf)
+    assert not cert[3] and not cert[7]
+    assert cert.sum() == n - 2
+
+
+def test_shifted_root_is_not_certified_past_the_radius_cap():
+    """A record 1e-4 off its root still has an isolated disk, which holds
+    the root; but the disk is wider than any box the winding count would
+    try, and no such box around the record holds a root."""
+    n = 50
+    ctx, z, unc = _polished_roots(2.0, n)
+    z[11] += 1e-4
+    buf = np.empty((n, n), dtype=complex)
+    assert _inclusion(ctx, z, np.full(n, np.inf), buf).all()
+    cap = 1e4 * _start_side(z, 1e-12, unc)
+    assert not _inclusion(ctx, z, cap, buf)[11]
+    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), 1e-12, unc, buf)
+    assert not cert[11]
+    assert cert.sum() == n - 1
+
+
+def test_poly_zeros_large_n():
+    """n = 600: the coefficients of s_n(R_n z) span more than e^600, past
+    the double range, so no coefficient form of s_n can be evaluated."""
+    recs = poly_zeros(MLContext(rho=2.0, n=600, lam=0.0))
+    assert len(recs) == 600 and all(r.certified for r in recs)
 
 
 # -------------------------------------------------------- winding number
