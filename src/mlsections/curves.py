@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 __all__ = [
     "SzegoBranch",
     "CurvePoint",
@@ -107,6 +105,8 @@ def _polish_ray_root(s: float, c: float, rho: float, offset: float) -> float:
 def _ray_root(c: float, rho: float, offset: float, branch: SzegoBranch) -> float:
     """Root of s^rho c - 1 - rho log s + offset = 0 on the given side of
     the ray minimum s* = c^(-1/rho)."""
+    from scipy.optimize import brentq  # deferred: scipy.optimize costs ~20 MiB at import
+
     if c <= 0.0:
         raise BracketError("cos(rho phi) must be positive for a two-root bracket")
     s_star = c ** (-1.0 / rho)

@@ -448,6 +448,9 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
                                 tail term; only while |w| <= R_{n+1}, where
                                 the tail terms decrease from k = n+1 on
 
+    At rho = 1 E_asym is e^w exactly, so B and C charge it eps max(1, |w|)
+    e^{Re w}, its rounding, in place of the remainder e^{-|w|^rho}.
+
     The eps-part of a sum is eps * max(1, |log-term|) * (largest term): the
     log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
     to eps of its own size before it is exponentiated.  A is used unless it
@@ -516,13 +519,18 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
         j = np.nonzero(suspect)[0]
         if j.size:
             lwj = lw[j]
-            with np.errstate(over="ignore"):
-                decay = -np.exp(rho * lwj.real)  # log of the asymptotic remainder
-            fl_b = np.logaddexp(la + fl_s[j], lb + decay) if b != 0 else np.full(j.size, np.inf)
+            # log of E_asym's error: its remainder, or at rho = 1, where
+            # E = e^w exactly (1/Gamma(1 - k) = 0), the rounding of e^w
+            if rho == 1:
+                e_err = _LOG_EPS + np.maximum(0.0, lwj.real) + w[idx[j]].real
+            else:
+                with np.errstate(over="ignore"):
+                    e_err = -np.exp(rho * lwj.real)
+            fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.full(j.size, np.inf)
             first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
             forward = lwj.real <= lr_fwd
             fl_c = np.where(forward,
-                            np.logaddexp(lab + decay, la + _eps_floor(first, n + 1, lwj, rho)),
+                            np.logaddexp(lab + e_err, la + _eps_floor(first, n + 1, lwj, rho)),
                             np.inf)
             use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
             if fc is not None:

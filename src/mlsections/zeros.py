@@ -11,7 +11,11 @@ per root); a root whose disk is not isolated, or is too wide, falls back
 to the winding count below.
 
 For general lam a quadtree of winding numbers (argument principle on
-rectangle boundaries) isolates the zeros.  Roots are polished by Newton
+rectangle boundaries) isolates the zeros.  The boundary samples of each
+count also give the first contour moment (1/2 pi i) ∮ z I'/I dz, which for
+a rectangle of winding 1 is its zero (Delves-Lyness, Math. Comp. 21, 1967).
+Such a rectangle is polished at once from its moment, and is split further
+only if the root does not certify inside it.  Roots are polished by Newton
 steps on the scaled evaluation and certified by a winding count of 1 in a
 small box, both as batches: each Newton iteration and each refinement
 pass of the winding count evaluates every root or rectangle still open in
@@ -160,19 +164,23 @@ def _insert(old: np.ndarray, pos: np.ndarray, at: np.ndarray, new) -> np.ndarray
     return out
 
 
-def _winding_numbers(ctx: MLContext, rects: list[Window], max_depth: int = 48
-                     ) -> list[int | None]:
-    """Total change of arg I_n along each rectangle boundary, over 2 pi.
+def _contour_integrals(ctx: MLContext, rects: list[Window], max_depth: int = 48
+                       ) -> tuple[list[int | None], np.ndarray]:
+    """Winding number and first contour moment of I_n on each rectangle.
 
-    The closed polylines of all rectangles are refined together, with one
-    evaluation per pass, until consecutive phase increments are below pi/2.
-    A rectangle whose refinement stalls (a zero on or near its boundary), or
-    whose phase sum is not close to an integer, gets None; the others go on.
+    The winding number is the total change of arg I_n along the boundary,
+    over 2 pi.  The closed polylines of all rectangles are refined together,
+    with one evaluation per pass, until consecutive phase increments are
+    below pi/2.  A rectangle whose refinement stalls (a zero on or near its
+    boundary), or whose phase sum is not close to an integer, gets None; the
+    others go on.  The moment (1/2 pi i) ∮ z I'/I dz, which is the zero of
+    a winding-1 rectangle (Delves-Lyness), comes from the same samples: each
+    segment adds its midpoint times its change of log I.
     """
     polys = [r.boundary_points(_initial_per_side(ctx, r)) for r in rects]
     owner = np.repeat(np.arange(len(rects)), [len(p) for p in polys])
     pts = np.concatenate(polys)
-    _lm, ph = _field_batch(ctx, pts)
+    lm, ph = _field_batch(ctx, pts)
     depth = np.zeros(len(pts) - 1, dtype=int)
     failed = np.zeros(len(rects), dtype=bool)
     while True:
@@ -185,18 +193,28 @@ def _winding_numbers(ctx: MLContext, rects: list[Window], max_depth: int = 48
         if not bad.any():
             break
         mids = 0.5 * (pts[:-1][bad] + pts[1:][bad])
-        _lm2, ph_mid = _field_batch(ctx, mids)
+        lm_mid, ph_mid = _field_batch(ctx, mids)
         # point i moves past the midpoints before it; a midpoint follows its segment's start
         pos = np.arange(len(pts)) + np.concatenate(([0], np.cumsum(bad)))
         at = pos[:-1][bad] + 1
         pts = _insert(pts, pos, at, mids)
+        lm = _insert(lm, pos, at, lm_mid)
         ph = _insert(ph, pos, at, ph_mid)
         owner = _insert(owner, pos, at, owner[:-1][bad])
         depth = _insert(depth + bad, pos, at, depth[bad] + 1)
     total = np.bincount(owner[:-1], weights=d, minlength=len(rects)) / (2.0 * math.pi)
     w = np.round(total)
     failed |= np.abs(total - w) > 1e-3
-    return [None if f else int(v) for f, v in zip(failed, w)]
+    dm = np.where(seg, 0.5 * (pts[:-1] + pts[1:]) * (np.diff(lm) + 1j * d), 0.0)
+    moment = (np.bincount(owner[:-1], weights=dm.real, minlength=len(rects))
+              + 1j * np.bincount(owner[:-1], weights=dm.imag, minlength=len(rects)))
+    return [None if f else int(v) for f, v in zip(failed, w)], moment / (2j * math.pi)
+
+
+def _winding_numbers(ctx: MLContext, rects: list[Window], max_depth: int = 48
+                     ) -> list[int | None]:
+    """The winding numbers of _contour_integrals."""
+    return _contour_integrals(ctx, rects, max_depth)[0]
 
 
 def winding_number(ctx: MLContext, rectangle: Window, max_depth: int = 48) -> int:
@@ -209,19 +227,21 @@ def winding_number(ctx: MLContext, rectangle: Window, max_depth: int = 48) -> in
 
 
 def _windings_with_jitter(ctx: MLContext, rects: list[Window], retries: int) -> list[tuple]:
-    """(winding number, rectangle it was taken on) per rectangle, with the
-    documented deterministic jitter on stalls; None where every attempt stalled."""
-    out: list[tuple[int | None, Window]] = [(None, r) for r in rects]
+    """(winding number, rectangle it was taken on, first moment) per rectangle,
+    with the documented deterministic jitter on stalls; None where every
+    attempt stalled."""
+    out: list[tuple[int | None, Window, complex]] = [(None, r, math.nan) for r in rects]
     for attempt in range(retries + 1):
-        todo = [i for i, (w, _r) in enumerate(out) if w is None]
+        todo = [i for i, (w, _r, _m) in enumerate(out) if w is None]
         if not todo:
             break
         cur = [rects[i] for i in todo]
         if attempt:
             cur = [Window(r.re_min - e, r.re_max + e * 1.3, r.im_min - e * 0.7, r.im_max + e * 1.1)
                    for r in cur for e in [1e-7 * r.diameter * attempt]]
-        for i, w, rect in zip(todo, _winding_numbers(ctx, cur), cur):
-            out[i] = (w, rect)
+        counts, moments = _contour_integrals(ctx, cur)
+        for i, w, rect, m in zip(todo, counts, cur, moments.tolist()):
+            out[i] = (w, rect, m)
     return out
 
 
@@ -290,7 +310,7 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
     for _ in range(5):
         boxes = [Window(z.real - h, z.real + h, z.imag - h, z.imag + h)
                  for z, h in zip(zs[todo].tolist(), side[todo].tolist())]
-        counts = [w for w, _box in _windings_with_jitter(ctx, boxes, retries=1)]
+        counts = [w for w, _box, _m in _windings_with_jitter(ctx, boxes, retries=1)]
         stalled = np.array([w is None for w in counts], dtype=bool)
         cert[todo[~stalled]] = [w == 1 for w in counts if w is not None]
         todo = todo[stalled]
@@ -400,9 +420,15 @@ def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:
 def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     """Quadtree subdivision by winding number with Newton polish.
 
-    Cells of winding 1 below the polish diameter are handed to Newton;
-    clusters that never separate above the minimum cell size are reported
-    unpolished with their count.
+    A cell of winding 1 is polished by Newton from its first contour moment
+    (its centre if the moment lies outside it); the root is accepted when
+    the polish converges, the root lies farther inside the cell than the
+    largest box _certify may try, and that box certifies it.  The cell then
+    holds exactly one zero, and the certified box inside it holds that zero.
+    Otherwise the cell is split.  Below the polish diameter Newton starts
+    from the cell centre and its root is kept, certified or not, if it stays
+    near the cell; clusters that never separate above the minimum cell size
+    are reported unpolished with their count.
     """
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
@@ -411,13 +437,34 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     masked = ctx.n + 1 if ctx.lam == 1 and window.contains(0.0) else 0
     records: list[ZeroRecord] = []
 
-    ((total, root_win),) = _windings_with_jitter(ctx, [window], retries=5)
+    ((total, root_win, root_moment),) = _windings_with_jitter(ctx, [window], retries=5)
     if total is None:
         raise BoundaryZeroError("window boundary stalled on a zero after every jitter")
 
-    def solve(cell: Window, w: int) -> None:
-        if w == 0:
-            return
+    def polish(cells: list[Window], moments: list[complex]) -> np.ndarray:
+        """Polish winding-1 cells from their moments as one batch, and
+        certify as one batch; whether each cell's root was accepted."""
+        starts = [m if c.contains(m) else c.center for c, m in zip(cells, moments)]
+        z, res, ok, runc = _newton_polish(np.array(starts), ctx, tol)
+        edges = np.array([[c.re_min, c.re_max, c.im_min, c.im_max] for c in cells]).T
+        margin = np.minimum.reduce([z.real - edges[0], edges[1] - z.real,
+                                    z.imag - edges[2], edges[3] - z.imag])
+        keep = ok & (margin > 1e4 * _start_side(z, tol, runc))
+        if keep.any():
+            keep[keep] = _certify(z[keep], ctx, tol, runc[keep])
+        records.extend(ZeroRecord(complex(a), float(r), True) for a, r in zip(z[keep], res[keep]))
+        return keep
+
+    def solve(cells: list[Window], counts: list[int], moments: list[complex]) -> None:
+        big = [i for i, (c, w) in enumerate(zip(cells, counts))
+               if w == 1 and c.diameter >= POLISH_CELL_DIAMETER]
+        kept = polish([cells[i] for i in big], [moments[i] for i in big]) if big else ()
+        done = {i for i, k in zip(big, kept) if k}
+        for i, (cell, w) in enumerate(zip(cells, counts)):
+            if w and i not in done:
+                isolate(cell, w)
+
+    def isolate(cell: Window, w: int) -> None:
         if w == 1 and cell.diameter < POLISH_CELL_DIAMETER:
             z, res, ok, runc = _newton_polish(np.array([cell.center]), ctx, tol)
             inflate = cell.diameter
@@ -439,16 +486,15 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
             cx, cy = 0.5 * (a + b) + s * (b - a), 0.5 * (c + d) + s * (d - c)
             children = [Window(a, cx, c, cy), Window(cx, b, c, cy),
                         Window(a, cx, cy, d), Window(cx, b, cy, d)]
-            counts = _winding_numbers(ctx, children)
+            counts, moments = _contour_integrals(ctx, children)
             if None in counts or sum(counts) != w:
                 continue  # a zero sat on the split line; shift and retry
-            for ch, cw in zip(children, counts):
-                solve(ch, cw)
+            solve(children, counts, moments.tolist())
             return
         raise BoundaryZeroError(
             f"could not split cell {cell} without a boundary zero")
 
-    solve(root_win, total)
+    solve([root_win], [total], [root_moment])
     records.sort(key=lambda rec: (rec.location.real, rec.location.imag))
     return ZeroSet(tuple(records), masked_origin_multiplicity=masked,
                    total_winding=total + masked)

@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlsections
 from mlsections.curves import (
     BracketError,
     RegionSpec,
@@ -258,3 +262,14 @@ def test_outer_branch_approaches_asymptote():
     r = 100.0
     assert (1.0 + 2.0 * math.log(r)) / (r * math.cos(math.pi / 4.0)) == \
         pytest.approx(0.14444, abs=5e-4)
+
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize (about 20 MiB resident) is imported only when a curve
+    root is bracketed."""
+    src = os.path.dirname(os.path.dirname(mlsections.__file__))
+    code = "import sys, mlsections; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

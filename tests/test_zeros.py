@@ -9,6 +9,7 @@ import pytest
 
 from mlsections.mitlef import MLContext, radius
 from mlsections.specfun import ln_gamma
+from mlsections import zeros
 from mlsections.zeros import (
     BoundaryZeroError,
     Window,
@@ -16,6 +17,7 @@ from mlsections.zeros import (
     _aberth,
     _certify,
     _certify_roots,
+    _contour_integrals,
     _inclusion,
     _newton_polish,
     _start_side,
@@ -160,6 +162,19 @@ def test_poly_zeros_large_n():
     assert len(recs) == 600 and all(r.certified for r in recs)
 
 
+def test_poly_zeros_rho1_exponential_section():
+    """rho = 1, where E = e^w exactly: the kernel's floor is the rounding of
+    e^w, not the asymptotic remainder, so Aberth does not stop short and all
+    60 roots of the exponential section come out distinct and certified."""
+    n = 60
+    recs = poly_zeros(MLContext(rho=1.0, n=n, lam=0.0))
+    assert len(recs) == n and all(r.certified for r in recs)
+    locs = np.array([r.location for r in recs])
+    gaps = np.abs(locs[:, None] - locs[None, :]) + np.diag(np.full(n, np.inf))
+    assert gaps.min() > 1e-3
+    assert max(_oracle_newton_distance(1.0, n, locs)) < 1e-8
+
+
 # -------------------------------------------------------- winding number
 
 def test_winding_counts_simple_zero():
@@ -186,6 +201,13 @@ def test_winding_additivity_random_splits():
         left = Window(outer.re_min, x, outer.im_min, outer.im_max)
         right = Window(x, outer.re_max, outer.im_min, outer.im_max)
         assert winding_number(ctx, left) + winding_number(ctx, right) == total
+
+
+def test_moment_of_winding_one_rectangle_is_its_zero():
+    ctx = MLContext(rho=2.0, n=1, lam=0.0)
+    counts, moments = _contour_integrals(ctx, [Window(-1.4, -0.4, -0.6, 0.4)])
+    assert counts == [1]
+    assert abs(moments[0] + 1.0) < 0.1
 
 
 def test_multi_rectangle_count_fails_only_the_stalled_rectangle():
@@ -267,6 +289,38 @@ def test_locate_conjugate_symmetry():
     locs = [r.location for r in zs.records]
     assert locs, "expected zeros in the window"
     assert _match_distance(locs, [z.conjugate() for z in locs]) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 0.5, 0.7 + 0.2j])
+def test_locate_records_certified_and_distinct(lam):
+    recs = locate_zeros(MLContext(rho=2.0, n=20, lam=lam), WINDOW).records
+    assert recs and all(r.certified for r in recs)
+    locs = np.array([r.location for r in recs])
+    gaps = np.abs(locs[:, None] - locs[None, :]) + np.diag(np.full(len(locs), np.inf))
+    assert gaps.min() > 1e-6
+
+
+def test_locate_splits_a_cell_whose_polish_lands_outside(monkeypatch):
+    """The first moment-started polish batch lands each root on the next zero
+    over, which is a true zero but outside the cell: those cells are split as
+    without the polish, and the zero set comes out the same."""
+    ctx = MLContext(rho=2.0, n=12, lam=0.5)
+    expected = locate_zeros(ctx, WINDOW).records
+    locs = np.array([r.location for r in expected])
+    polish, shifted = zeros._newton_polish, []
+
+    def lands_outside(zs, *args):
+        z, res, ok, unc = polish(zs, *args)
+        if not shifted:
+            shifted.append(z.size)
+            z = np.array([locs[np.argsort(np.abs(locs - a))[1]] for a in z])
+        return z, res, ok, unc
+
+    monkeypatch.setattr(zeros, "_newton_polish", lands_outside)
+    got = locate_zeros(ctx, WINDOW).records
+    assert shifted and shifted[0] > 0
+    assert [r.certified for r in got] == [r.certified for r in expected]
+    assert _match_distance([r.location for r in got], [r.location for r in expected]) < 1e-10
 
 
 def test_locate_lam1_masks_origin():
