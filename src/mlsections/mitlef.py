@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import rgamma
 
 from .scaled import SC_ZERO, ScaledComplex, _wrap_phase, sc_add, sc_from_complex
 from .specfun import ln_gamma, ln_gamma_arr
@@ -52,6 +53,7 @@ __all__ = [
     "combo_normalized",
     "combo_derivative",
     "combo_batch",
+    "combo_normalized_batch",
 ]
 
 
@@ -293,25 +295,15 @@ def ml_asymptotic(z: complex, rho: float) -> ScaledComplex:
     return alg
 
 
-def _recip_gamma_tail_coef(x: float) -> float:
-    """1/Gamma(1 - x) for real x > 0, via reflection once x >= 1."""
-    if x < 1.0:
-        return math.exp(-ln_gamma(1.0 - x))
-    if x == round(x):
-        return 0.0
-    return math.sin(math.pi * x) * math.exp(ln_gamma(x)) / math.pi
-
-
 _ASYM_COEF_CACHE: dict[float, np.ndarray] = {}
 _ASYM_TERMS = 80
 
 
 def _asym_coefs(rho: float) -> np.ndarray:
+    """1/Gamma(1 - k/rho) for k = 1 .. _ASYM_TERMS (0 where 1 - k/rho <= 0 is an integer)."""
     coefs = _ASYM_COEF_CACHE.get(rho)
     if coefs is None:
-        coefs = np.array([_recip_gamma_tail_coef(k / rho)
-                          for k in range(1, _ASYM_TERMS + 1)])
-        _ASYM_COEF_CACHE[rho] = coefs
+        coefs = _ASYM_COEF_CACHE[rho] = rgamma(1.0 - np.arange(1, _ASYM_TERMS + 1) / rho)
     return coefs
 
 
@@ -388,15 +380,8 @@ def combo(z: complex, ctx: MLContext) -> ScaledComplex:
 
 def combo_normalized(z: complex, ctx: MLContext) -> ScaledComplex:
     """combo(z) * Gamma(1 + n/rho) / (R_n z)^n, entirely in log space."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("combo_normalized is undefined at z = 0")
-    val = combo(z, ctx)
-    if val.is_zero:
-        return SC_ZERO
-    n, rho = ctx.n, ctx.rho
-    shift = ln_gamma(1.0 + n / rho) - n * (math.log(ctx.radius_value) + math.log(abs(z)))
-    return ScaledComplex(val.log_mag + shift, _wrap_phase(val.phase - n * cmath.phase(z)))
+    log_mag, phase = combo_normalized_batch(np.array([complex(z)]), ctx)
+    return _scaled(float(log_mag[0]), float(phase[0]))
 
 
 def combo_derivative(z: complex, ctx: MLContext) -> ScaledComplex:
@@ -422,6 +407,18 @@ def combo_batch(zs: np.ndarray, ctx: MLContext, deriv: bool = False
     if deriv:
         log_mag = log_mag + math.log(rn)
     return log_mag.reshape(zs.shape), phase.reshape(zs.shape)
+
+
+def combo_normalized_batch(zs: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray]:
+    """combo_batch(zs) times Gamma(1 + n/rho) / (R_n z)^n, as (log_mag, phase);
+    the phase is not reduced to (-pi, pi]."""
+    zs = np.asarray(zs, dtype=complex)
+    if (zs == 0).any():
+        raise ValueError("combo_normalized is undefined at z = 0")
+    log_mag, phase = combo_batch(zs, ctx)
+    n = ctx.n
+    shift = ln_gamma(1.0 + n / ctx.rho) - n * (math.log(ctx.radius_value) + np.log(np.abs(zs)))
+    return log_mag + shift, phase - n * np.angle(zs)
 
 
 _LOG_EPS = math.log(2.0 ** -52)

@@ -1,4 +1,4 @@
-"""Scalar special functions: real log-gamma and the complex error function.
+"""Special functions: real log-gamma and the complex error function.
 
 Thin wrappers over math.lgamma and scipy.special (gammaln, erfc) that keep
 the package's domain checks: log-gamma is only defined here for x > 0.
@@ -31,11 +31,12 @@ def ln_gamma_arr(x: np.ndarray) -> np.ndarray:
     return special.gammaln(x)
 
 
-def erfc(zeta: complex) -> complex:
-    """Complementary error function on the complex plane."""
-    return complex(special.erfc(complex(zeta)))
+def erfc(zeta):
+    """Complementary error function on the complex plane, scalar or array."""
+    val = special.erfc(np.asarray(zeta, dtype=complex))
+    return complex(val) if val.ndim == 0 else val
 
 
-def erf(zeta: complex) -> complex:
+def erf(zeta):
     """Error function, erf(z) = 1 - erfc(z)."""
     return 1.0 - erfc(zeta)

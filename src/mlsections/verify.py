@@ -25,9 +25,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from .scaled import ScaledComplex, sc_add, sc_from_complex, sc_mul, sc_sub, sc_to_complex
+from .scaled import ScaledComplex, sc_add, sc_from_complex, sc_mul, sc_sub
 from .specfun import erfc, ln_gamma
-from .mitlef import MLContext, combo, combo_normalized, ml_series, radius
+from .mitlef import (MLContext, combo_batch, combo_normalized, combo_normalized_batch,
+                     ml_series, radius)
 from .curves import RegionSpec, asymptote_distance, phase_u, region_contains, szego_sigma
 from .zeros import Window, locate_zeros, strip_filter
 
@@ -250,6 +251,31 @@ def _kn_integral(z: complex, n: int, rho: float, wp: float, nu: float,
     return a + up - dn, e_a + e_up + e_dn
 
 
+def _kn_contour(z: complex, ctx: MLContext, contour: ContourSpec | None
+                ) -> tuple[float, float, float, float]:
+    """(nu, ray_cutoff, cos(rho nu), distance of the pole t = z to the rays)
+    of the contour of kn_quadrature and kn_ratio (default_contour if None),
+    checked: valid, H = R_n, cos(rho nu) < 0, and the pole at least 1e-6
+    away from it (t-plane, H = 1)."""
+    rn = ctx.radius_value
+    if contour is None:
+        contour = default_contour(ctx)
+    contour.validate(ctx.rho)
+    if abs(contour.H - rn) > 1e-9 * rn:
+        raise ValueError("contour radius must equal R_n (H = R_n)")
+    nu, cut = contour.nu, contour.ray_cutoff
+    crn = math.cos(ctx.rho * nu)
+    if crn >= 0.0:
+        raise ValueError("ray direction must have cos(rho nu) < 0")
+    d_arc = np.abs(np.exp(1j * np.linspace(-nu, nu, 721)) - z).min()
+    ss = np.linspace(1.0, cut, 721)
+    d_ray = min(np.abs(ss * cmath.exp(1j * nu) - z).min(),
+                np.abs(ss * cmath.exp(-1j * nu) - z).min())
+    if min(d_arc, d_ray) < 1e-6:
+        raise ContourError("pole within 1e-6 R_n of the contour")
+    return nu, cut, crn, d_ray
+
+
 def kn_quadrature(z: complex, ctx: MLContext,
                   contour: ContourSpec | None = None) -> tuple[complex, float]:
     """Contour integral of e^{zeta^rho} zeta^{-(n+1)} / (zeta - R_n z) over
@@ -261,26 +287,8 @@ def kn_quadrature(z: complex, ctx: MLContext,
     z = complex(z)
     n, rho = ctx.n, ctx.rho
     rn = ctx.radius_value
-    if contour is None:
-        contour = default_contour(ctx)
-    contour.validate(rho)
-    if abs(contour.H - rn) > 1e-9 * rn:
-        raise ValueError("contour radius must equal R_n (H = R_n)")
-    nu, cut = contour.nu, contour.ray_cutoff
-    crn = math.cos(rho * nu)
-    if crn >= 0.0:
-        raise ValueError("ray direction must have cos(rho nu) < 0")
+    nu, cut, crn, d_ray = _kn_contour(z, ctx, contour)
     wp = rn ** rho  # R_n^rho, moderate
-
-    # distance from the pole t = z to the contour (t-plane, H = 1)
-    thetas = np.linspace(-nu, nu, 721)
-    d_arc = np.abs(np.exp(1j * thetas) - z).min()
-    ss = np.linspace(1.0, cut, 721)
-    d_ray = min(np.abs(ss * cmath.exp(1j * nu) - z).min(),
-                np.abs(ss * cmath.exp(-1j * nu) - z).min())
-    if min(d_arc, d_ray) < 1e-6:
-        raise ContourError("pole within 1e-6 R_n of the contour")
-
     total, err = _kn_integral(z, n, rho, wp, nu, cut)
 
     # tail of each ray beyond the cutoff: |integrand| <= e^{wp s^rho cos(rho nu)}
@@ -300,13 +308,9 @@ def kn_ratio(z: complex, ctx: MLContext,
     z = complex(z)
     n, rho = ctx.n, ctx.rho
     rn = ctx.radius_value
-    if contour is None:
-        contour = default_contour(ctx)
-    nu, cut = contour.nu, contour.ray_cutoff
-    wp = rn ** rho
-
+    nu, cut, _crn, _d_ray = _kn_contour(z, ctx, contour)
     # the integral of kn_quadrature, kept un-rescaled; combined in logs
-    q, _err = _kn_integral(z, n, rho, wp, nu, cut)
+    q, _err = _kn_integral(z, n, rho, rn ** rho, nu, cut)
     if q == 0:
         return 0.0
     # ratio = rho R_n Gamma(1+n/rho) (1-z) K_n / (2 pi i), K_n = R_n^{-(n+1)} Q
@@ -318,37 +322,37 @@ def kn_ratio(z: complex, ctx: MLContext,
 # --- scaling-limit pairs ----------------------------------------------------
 
 
-def theorem3_pair(zeta: complex, ctx: MLContext) -> tuple[complex, complex]:
+def _complex_like(zeta, val: np.ndarray):
+    """val as a complex for a scalar zeta, as an array for an array.  Scalars
+    run as 1-element batches: numpy may round 0-d complex math differently."""
+    return complex(val[0]) if np.ndim(zeta) == 0 else val
+
+
+def theorem3_pair(zeta, ctx: MLContext):
     """Exact finite-n normalized combination at the z = 1 frame vs its
-    erfc limit e^{zeta^2}(erfc(zeta)/2 - lam)."""
-    zeta = complex(zeta)
-    frame = ScalingFrame3(ctx.n, ctx.rho)
-    z = frame.map(zeta)
-    val = combo(z, ctx)
+    erfc limit e^{zeta^2}(erfc(zeta)/2 - lam); zeta a scalar or an array."""
+    zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    z = ScalingFrame3(ctx.n, ctx.rho).map(zt)
+    log_mag, phase = combo_batch(z, ctx)
     # normalization by (1 + a zeta)^n E(R_n); E(R_n) by the direct series
     e_rn = ml_series(ctx.radius_value, ctx.rho)
-    lz = cmath.log(z)
-    lhs = ScaledComplex(val.log_mag - ctx.n * lz.real - e_rn.log_mag,
-                        val.phase - ctx.n * lz.imag - e_rn.phase)
-    rhs = cmath.exp(zeta * zeta) * (erfc(zeta) / 2.0 - ctx.lam)
-    return sc_to_complex(lhs), rhs
+    lz = np.log(z)
+    lhs = np.exp(log_mag - ctx.n * lz.real - e_rn.log_mag
+                 + 1j * (phase - ctx.n * lz.imag - e_rn.phase))
+    rhs = np.exp(zt * zt) * (erfc(zt) / 2.0 - ctx.lam)
+    return _complex_like(zeta, lhs), _complex_like(zeta, rhs)
 
 
-def theorem4_tau(xi: complex, rho: float, n: int, part: str,
-                 printed_exponent: float | None = None) -> float:
+def theorem4_tau(xi: complex, rho: float, n: int, part: str) -> float:
     """The phase-alignment sequence, reduced to (-pi, pi].
 
     part 'I' uses tau = |xi|^rho sin(rho phi) - rho phi (the curve-consistent
-    exponent; printed_exponent substitutes another power of |xi| so both
-    readings of the source formula can be reported side by side);
-    part 'II' uses (n+1) phi.
+    exponent), times n / rho; part 'II' uses (n+1) phi.
     """
     xi = complex(xi)
     phi = cmath.phase(xi)
     if part == "I":
-        p = rho if printed_exponent is None else printed_exponent
-        tau = abs(xi) ** p * math.sin(rho * phi) - rho * phi
-        raw = tau / rho * n
+        raw = (abs(xi) ** rho * math.sin(rho * phi) - rho * phi) / rho * n
     elif part == "II":
         raw = (n + 1) * phi
     else:
@@ -359,10 +363,16 @@ def theorem4_tau(xi: complex, rho: float, n: int, part: str,
     return red
 
 
-def theorem4_rhs(zeta: complex, frame: ScalingFrame4, lam: complex,
-                 next_order: bool = False) -> complex:
+def _theorem4_coef(frame: ScalingFrame4, lam: complex) -> complex:
+    """Coefficient c of the exponential part of the theorem 4 limit."""
+    if frame.part == "I":
+        return (1.0 - lam) if abs(frame.xi) < 1.0 else -lam
+    return lam - 1.0
+
+
+def theorem4_rhs(zeta, frame: ScalingFrame4, lam: complex, next_order: bool = False):
     """Limit of the normalized combination at the curve frame, optionally
-    with its next-order term.
+    with its next-order term; zeta a scalar or an array.
 
     Leading order (next_order=False), o(1) factors set to 1:
       part I:  c sqrt(2 pi rho) e^{e1 (xi^rho - 1)} e^zeta - xi/(1-xi),
@@ -405,29 +415,28 @@ def theorem4_rhs(zeta: complex, frame: ScalingFrame4, lam: complex,
     delta is O((log n + |tau_n|)^2 / n) and S - 1 is O(n^{-1/rho}), so the
     correction is closed-form, has no fitted constant, and tends to 0.
     """
-    zeta = complex(zeta)
+    zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
     rho, n, xi = frame.rho, frame.n, complex(frame.xi)
     e1 = (rho - 1.0) / (2.0 * rho)
+    coef = _theorem4_coef(frame, lam)
     if frame.part == "I":
         xr = cmath.exp(rho * cmath.log(xi))  # principal xi^rho
         # constant exponent (rho-1)/(2 rho): the value consistent with the
         # Stirling expansion of |J1| (and confirmed numerically)
-        amp = math.sqrt(2.0 * math.pi * rho) * cmath.exp(e1 * (xr - 1.0)) * cmath.exp(zeta)
-        coef = (1.0 - lam) if abs(xi) < 1.0 else -lam
+        amp = math.sqrt(2.0 * math.pi * rho) * cmath.exp(e1 * (xr - 1.0)) * np.exp(zt)
     else:
         # the e^{1/rho} factor comes with the Stirling expansion of |J2| on
         # the arc |xi| = e^{-1/rho} (confirmed numerically at several rho)
         amp = (math.sqrt(2.0 * math.pi * math.exp((1.0 - rho) / rho))
                * math.exp(1.0 / rho)
                / (rho ** (0.5 - 1.0 / rho) * math.exp(ln_gamma(1.0 - 1.0 / rho)))
-               ) * cmath.exp(-zeta)
-        coef = lam - 1.0
+               ) * np.exp(-zt)
     if not next_order:
-        return coef * amp - xi / (1.0 - xi)
-    z = frame.map(zeta)
+        return _complex_like(zeta, coef * amp - xi / (1.0 - xi))
+    z = frame.map(zt)
     e2 = 0.25 - rho / 12.0 - 1.0 / (6.0 * rho)
     if frame.part == "I":
-        a = (0.5 * math.log(n) - zeta + 1j * frame.tau_n) / (1.0 - xr)
+        a = (0.5 * math.log(n) - zt + 1j * frame.tau_n) / (1.0 - xr)
         delta = ((a * a * ((rho - 1.0) * xr + 1.0) / 2.0 + (rho - 1.0) * xr * a / 2.0
                   + e2 * (xr - 1.0) + rho * e1 * e1 * xr / 2.0 + rho / 12.0) / n
                  + (a ** 3 * (xr * (rho - 1.0) * (rho - 2.0) / 6.0 - 1.0 / 3.0)
@@ -435,22 +444,22 @@ def theorem4_rhs(zeta: complex, frame: ScalingFrame4, lam: complex,
         series = 1.0
     else:
         lead = (0.5 - 1.0 / rho) * math.log(n)
-        b = lead + zeta - 1j * frame.tau_n
+        b = lead + zt - 1j * frame.tau_n
         delta = (b * b / 2.0 - lead + rho / 12.0 - e1 - e2) / n
         w = radius(n, rho) * z
         series = 1.0 + sum(math.gamma(1.0 - 1.0 / rho) * rgamma(1.0 - k / rho) / w ** (k - 1)
                            for k in range(2, math.floor(rho) + 2))
     pole = -z / (1.0 - z) + z / (rho * n * (1.0 - z) ** 3)
-    return complex(coef * amp * cmath.exp(delta) * series + pole)
+    return _complex_like(zeta, coef * amp * np.exp(delta) * series + pole)
 
 
-def theorem4_pair(zeta: complex, frame: ScalingFrame4, lam: complex
-                  ) -> tuple[complex, complex]:
+def theorem4_pair(zeta, frame: ScalingFrame4, lam: complex):
     """Exact finite-n normalized combination at the curve frame vs its
-    leading-order limit (theorem4_rhs)."""
+    leading-order limit (theorem4_rhs); zeta a scalar or an array."""
     ctx = MLContext(rho=frame.rho, n=frame.n, lam=lam)
-    lhs = sc_to_complex(combo_normalized(frame.map(complex(zeta)), ctx))
-    return lhs, theorem4_rhs(zeta, frame, lam)
+    z = frame.map(np.atleast_1d(np.asarray(zeta, dtype=complex)))
+    log_mag, phase = combo_normalized_batch(z, ctx)
+    return _complex_like(zeta, np.exp(log_mag + 1j * phase)), theorem4_rhs(zeta, frame, lam)
 
 
 # --- suites -----------------------------------------------------------------
@@ -535,18 +544,15 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
 def suite_theorem3(rho: float = 2.0, lam: complex = 0.0,
                    n_list: tuple[int, ...] = (50, 100, 200),
                    grid_side: int = 21) -> dict:
-    zetas = _grid(2.0, grid_side)
+    # zeta = 0 (z = 1) rides last in each grid for the centre check at lam = 0
+    zetas = np.append(_grid(2.0, grid_side), 0.0)
     sups = []
     for n in n_list:
-        ctx = MLContext(rho=rho, n=n, lam=lam)
-        sup = max(abs(l - r) for l, r in (theorem3_pair(zt, ctx) for zt in zetas))
-        sups.append(sup)
+        lhs, rhs = theorem3_pair(zetas, MLContext(rho=rho, n=n, lam=lam))
+        sups.append(float(np.abs(lhs - rhs)[:-1].max()))
     ok = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
-    if lam == 0 and n_list[-1] >= 200:
-        ctx = MLContext(rho=rho, n=n_list[-1], lam=lam)
-        lhs, _ = theorem3_pair(0.0, ctx)
-        if abs(lhs - 0.5) > THEOREM3_DEV_AT_200:
-            ok = False
+    if lam == 0 and n_list[-1] >= 200 and abs(lhs[-1] - 0.5) > THEOREM3_DEV_AT_200:
+        ok = False
     return {"check_id": "theorem3", "params": {"rho": rho, "lam": _jlam(lam),
             "grid_side": grid_side}, "n_list": list(n_list),
             "metric_list": sups, "pass": ok}
@@ -568,7 +574,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
                    n_list: tuple[int, ...] = (75, 300), grid_side: int = 7) -> dict:
     """Local limits at the three curve frames, per (lam, frame).
 
-    The exact lhs is evaluated once per grid point and compared with both
+    The exact lhs is evaluated as one array per grid and compared with both
     the leading-order limit and the limit with its next-order term
     (theorem4_rhs).  The verdict gates on the next-order residual: the
     leading-order one carries an O((log n + |tau_n|)^2 / n) term (part I)
@@ -578,6 +584,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
     metric_list_leading the leading-order ones.
     """
     zetas = _grid(1.5, grid_side)
+    frames = [theorem4_frames(rho, n) for n in n_list]
     metrics = []
     metrics_leading = []
     ok = True
@@ -586,23 +593,19 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
             sups = []
             sups_leading = []
             variations = []
-            for n in n_list:
-                frame = theorem4_frames(rho, n)[fi]
-                vals = [theorem4_pair(zt, frame, lam) for zt in zetas]
-                sups_leading.append(max(abs(l - r) for l, r in vals))
-                sups.append(max(abs(l - theorem4_rhs(zt, frame, lam, next_order=True))
-                                for zt, (l, _) in zip(zetas, vals)))
-                mags = [abs(l) for l, _ in vals]
-                variations.append(max(mags) - min(mags))
+            for frame in (f[fi] for f in frames):
+                lhs, rhs = theorem4_pair(zetas, frame, lam)
+                sups_leading.append(float(np.abs(lhs - rhs).max()))
+                rhs = theorem4_rhs(zetas, frame, lam, next_order=True)
+                sups.append(float(np.abs(lhs - rhs).max()))
+                mags = np.abs(lhs)
+                variations.append(mags.max() - mags.min())
             if any(sups[i + 1] > sups[i] for i in range(len(sups) - 1)):
                 ok = False
             # lam values that kill the exponential coefficient leave a
             # zeta-constant limit; the exact lhs variation must shrink too
-            frame0 = theorem4_frames(rho, n_list[0])[fi]
-            coef = ((1.0 - lam) if (frame0.part == "I" and abs(frame0.xi) < 1)
-                    else -lam if frame0.part == "I" else (lam - 1.0))
-            if coef == 0 and any(variations[i + 1] > variations[i]
-                                 for i in range(len(variations) - 1)):
+            if _theorem4_coef(frames[0][fi], lam) == 0 and any(
+                    variations[i + 1] > variations[i] for i in range(len(variations) - 1)):
                 ok = False
             metrics.append(sups[-1])
             metrics_leading.append(sups_leading[-1])

@@ -56,6 +56,8 @@ __all__ = [
 POLISH_CELL_DIAMETER = 1e-3
 MIN_CELL_DIAMETER = 1e-6
 PHASE_STEP_LIMIT = math.pi / 2.0
+MAX_REFINE_DEPTH = 48  # halvings of one boundary segment before its rectangle fails
+NEWTON_MAX_ITER = 30
 
 
 class BoundaryZeroError(RuntimeError):
@@ -164,7 +166,7 @@ def _insert(old: np.ndarray, pos: np.ndarray, at: np.ndarray, new) -> np.ndarray
     return out
 
 
-def _contour_integrals(ctx: MLContext, rects: list[Window], max_depth: int = 48
+def _contour_integrals(ctx: MLContext, rects: list[Window]
                        ) -> tuple[list[int | None], np.ndarray]:
     """Winding number and first contour moment of I_n on each rectangle.
 
@@ -188,7 +190,7 @@ def _contour_integrals(ctx: MLContext, rects: list[Window], max_depth: int = 48
         seg = owner[:-1] == owner[1:]
         d = np.where(seg, _wrap(np.diff(ph)), 0.0)
         bad = np.abs(d) >= PHASE_STEP_LIMIT
-        failed[owner[:-1][bad & (depth >= max_depth)]] = True
+        failed[owner[:-1][bad & (depth >= MAX_REFINE_DEPTH)]] = True
         bad &= ~failed[owner[:-1]]
         if not bad.any():
             break
@@ -211,16 +213,10 @@ def _contour_integrals(ctx: MLContext, rects: list[Window], max_depth: int = 48
     return [None if f else int(v) for f, v in zip(failed, w)], moment / (2j * math.pi)
 
 
-def _winding_numbers(ctx: MLContext, rects: list[Window], max_depth: int = 48
-                     ) -> list[int | None]:
-    """The winding numbers of _contour_integrals."""
-    return _contour_integrals(ctx, rects, max_depth)[0]
-
-
-def winding_number(ctx: MLContext, rectangle: Window, max_depth: int = 48) -> int:
+def winding_number(ctx: MLContext, rectangle: Window) -> int:
     """Total change of arg I_n along the rectangle boundary, over 2 pi; a
     refinement stall raises BoundaryZeroError (callers retry with a jitter)."""
-    (w,) = _winding_numbers(ctx, [rectangle], max_depth)
+    (w,) = _contour_integrals(ctx, [rectangle])[0]
     if w is None:
         raise BoundaryZeroError("phase refinement stalled; zero on or near the boundary")
     return w
@@ -245,7 +241,7 @@ def _windings_with_jitter(ctx: MLContext, rects: list[Window], retries: int) -> 
     return out
 
 
-def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float, max_iter: int = 30
+def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on the scaled evaluation, from each start in zs.
 
@@ -259,12 +255,12 @@ def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float, max_iter: int = 3
     res, ok, unc = np.full(z.size, -np.inf), np.ones(z.size, dtype=bool), np.zeros(z.size)
     best_lm, best_z, d_last = np.full(z.size, np.inf), z.copy(), np.zeros(z.size)
     act, fin = np.arange(z.size), np.arange(0)  # iterating; converged, value pending
-    for it in range(max_iter + 1):
-        ids = np.concatenate([fin, act]) if it < max_iter else fin
+    for it in range(NEWTON_MAX_ITER + 1):
+        ids = np.concatenate([fin, act]) if it < NEWTON_MAX_ITER else fin
         if ids.size:
             f_lm, f_ph = combo_batch(z[ids], ctx)
             res[fin], f_lm, f_ph = f_lm[:fin.size], f_lm[fin.size:], f_ph[fin.size:]
-        if it == max_iter or not act.size:
+        if it == NEWTON_MAX_ITER or not act.size:
             break
         live = f_lm > -np.inf  # an exact zero ends with res = -inf, ok, unc = 0
         act, f_lm, f_ph = act[live], f_lm[live], f_ph[live]

@@ -3,12 +3,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from mlsections.mitlef import MLContext
 from mlsections.curves import szego_sigma
 from mlsections.scaled import sc_to_complex
 from mlsections.verify import (
+    ContourError,
     ContourSpec,
     RegimeError,
     ScalingFrame3,
@@ -146,7 +148,36 @@ def test_kn_ratio_improves_with_n():
     assert d80 < 0.15
 
 
+@pytest.mark.parametrize("integral", [kn_quadrature, kn_ratio])
+def test_kn_integrals_check_their_contour(integral):
+    ctx = MLContext(rho=2.0, n=20, lam=0.5)
+    with pytest.raises(ValueError):  # nu outside (pi/(2 rho), pi/rho]
+        integral(0.4, ctx, ContourSpec(nu=0.3, H=1.0, ray_cutoff=4.0))
+    with pytest.raises(ValueError):  # H != R_n
+        integral(0.4, ctx, ContourSpec(nu=1.0, H=1.0, ray_cutoff=4.0))
+    with pytest.raises(ContourError):  # pole 1e-9 from the arc
+        integral(1.0 + 1e-9j, ctx)
+
+
 # ------------------------------------------------------------ pair checks
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_pairs_on_arrays_match_one_point(lam):
+    rho, n = 2.0, 60
+    ctx = MLContext(rho=rho, n=n, lam=lam)
+    zetas = np.array([0.0, 0.7 - 0.4j, -1.2 + 0.9j, 1.5j, 1.3, -0.5 - 1.1j])
+    pairs = [lambda zt: theorem3_pair(zt, ctx)]
+    for frame in theorem4_frames(rho, n):
+        pairs.append(lambda zt, f=frame: theorem4_pair(zt, f, lam))
+        pairs.append(lambda zt, f=frame: (theorem4_rhs(zt, f, lam, next_order=True), 0.0))
+    for pair in pairs:
+        lhs, rhs = pair(zetas)
+        for zt, l, r in zip(zetas, lhs, np.broadcast_to(rhs, lhs.shape)):
+            l1, r1 = pair(complex(zt))
+            assert isinstance(l1, complex)
+            assert abs(l - l1) <= 1e-12 * abs(l1), (zt, l, l1)
+            assert abs(r - r1) <= 1e-12 * abs(r1), (zt, r, r1)
 
 def test_theorem3_pair_small_zeta():
     lhs, rhs = theorem3_pair(0.0, MLContext(rho=2.0, n=200, lam=0.0))
