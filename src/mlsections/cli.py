@@ -14,14 +14,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .curves import (
     BracketError,
     CurvePoint,
     SzegoBranch,
-    phase_u,
     s_h_level_r,
     szego_curve,
-    szego_sigma,
     t_curve_r,
 )
 from .mitlef import MLContext
@@ -93,17 +93,11 @@ def _sh_curve(rho: float, h: float, samples: int, r_max: float) -> list[CurvePoi
     phi_edge = math.acos(c_edge) / rho
     pts: list[CurvePoint] = []
     for branch, hi in ((SzegoBranch.INNER, bound), (SzegoBranch.OUTER, phi_edge)):
-        for lobe in (-1.0, 1.0):
-            phis = [lobe * p for p in _lin(phi_min, hi, samples)]
-            if lobe < 0:
-                phis.reverse()
-            pts += [CurvePoint(phi, s_h_level_r(phi, rho, h, branch), branch)
-                    for phi in phis]
+        half = np.linspace(phi_min, hi, samples)
+        phis = np.concatenate([-half[::-1], half])  # lower lobe, then upper
+        rs = s_h_level_r(phis, rho, h, branch)
+        pts += [CurvePoint(p, r, branch) for p, r in zip(phis.tolist(), rs.tolist())]
     return pts
-
-
-def _lin(a: float, b: float, m: int) -> list[float]:
-    return [a + (b - a) * i / (m - 1) for i in range(m)]
 
 
 def write_curve_csv(points: list[CurvePoint], path) -> None:
@@ -131,8 +125,9 @@ def cmd_curve(args) -> int:
         # blows up.  The midpoint row carries r(0) = 1 exactly.
         m = args.samples if args.samples % 2 == 1 else args.samples + 1
         edge = (math.pi / args.rho) * (1.0 - 1.0 / m)
-        pts = [CurvePoint(phi, t_curve_r(phi, args.rho), SzegoBranch.ARC)
-               for phi in _lin(-edge, edge, m)]
+        phis = np.linspace(-edge, edge, m)
+        rs = t_curve_r(phis, args.rho)
+        pts = [CurvePoint(p, r, SzegoBranch.ARC) for p, r in zip(phis.tolist(), rs.tolist())]
     else:  # sh
         pts = _sh_curve(args.rho, args.h, args.samples, args.r_max)
     with _open_out(args.out) as f:

@@ -5,6 +5,9 @@ vanishes on the non-circular part of S(rho) inside the sector
 |phi| <= pi/(2 rho); the curve is completed by the circular arc of radius
 e^{-1/rho}.  The outer root of u = 0 (r >= 1) is kept as a separately
 labelled branch since the large-n zero sets accumulate on it too.
+
+The radius functions take a scalar angle or an array of angles; one array
+Newton iteration on u, convex in log r along each ray, finds all radii.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "SzegoBranch",
@@ -84,91 +89,82 @@ def phase_u(z: complex, rho: float) -> float:
     return r**rho * math.cos(rho * phi) - 1.0 - rho * math.log(r)
 
 
-def _u_ray(s: float, c: float, rho: float, offset: float = 0.0) -> float:
-    return s**rho * c - 1.0 - rho * math.log(s) + offset
+def _like(phi, val: np.ndarray):
+    """val as a float for a scalar phi, as an array for an array."""
+    return float(val[0]) if np.ndim(phi) == 0 else val
 
 
-def _polish_ray_root(s: float, c: float, rho: float, offset: float) -> float:
-    # a couple of Newton steps to push the residual to ~1e-15
-    for _ in range(3):
-        f = _u_ray(s, c, rho, offset)
-        df = rho * s ** (rho - 1.0) * c - rho / s
-        if df == 0.0:
-            break
-        step = f / df
-        s -= step
-        if abs(step) < 1e-16 * s:
-            break
-    return s
+def _ray_cos(phi, rho: float) -> np.ndarray:
+    """cos(rho phi) on rays inside the sector |phi| <= pi/(2 rho)."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    bound = math.pi / (2.0 * rho)
+    if (np.abs(phi) > bound + 1e-15).any():
+        raise ValueError(f"|phi| must be <= pi/(2 rho) = {bound:g}")
+    return np.cos(rho * phi)
 
 
-def _ray_root(c: float, rho: float, offset: float, branch: SzegoBranch) -> float:
-    """Root of s^rho c - 1 - rho log s + offset = 0 on the given side of
-    the ray minimum s* = c^(-1/rho)."""
-    from scipy.optimize import brentq  # deferred: scipy.optimize costs ~20 MiB at import
+def _level_radius(c: np.ndarray, rho: float, offset: float,
+                  branch: SzegoBranch) -> np.ndarray:
+    """Radii where u + offset = 0 on the rays with cos(rho phi) = c, on the
+    branch's side of each ray's minimum.
 
-    if c <= 0.0:
-        raise BracketError("cos(rho phi) must be positive for a two-root bracket")
-    s_star = c ** (-1.0 / rho)
-    u_min = _u_ray(s_star, c, rho, offset)
-    if u_min > 0.0:
-        raise BracketError(
-            f"level {offset:g} not attained on this ray (minimum {u_min:.3g} > 0)"
-        )
+    With x = log r, u + offset = c e^{rho x} - 1 - rho x + offset is convex,
+    with minimum m = log c + offset at x* = -(log c)/rho; in y = rho (x - x*)
+    it reads e^y - 1 - y + m, free of cancellation near the double root.
+    Newton starts at y = -sqrt(-2m) (inner) or +sqrt(-2m) (outer) and
+    converges monotonically after one step.  Each ray stops on its own step, so its radius does not depend on
+    the batch.  m = 0 (c rounds to 1 at offset 0) is the double root y = 0;
+    sector-edge rays (|c| < 1e-15) take the limit e^{(offset - 1)/rho}.
+    """
+    r = np.full(c.shape, math.exp((offset - 1.0) / rho))
+    ok = np.abs(c) >= 1e-15
+    lc = np.log(c[ok])
+    m = lc + offset
+    if (m > 0.0).any():
+        raise BracketError(f"level {offset:g} not attained on this ray "
+                           f"(minimum {m.max():.3g} > 0)")
+    y = np.sqrt(-2.0 * m)
     if branch == SzegoBranch.INNER:
-        lo = s_star * 1e-6
-        while _u_ray(lo, c, rho, offset) < 0.0:
-            lo *= 0.1
-            if lo < 1e-290:
-                raise BracketError("no inner bracket found")
-        s = brentq(_u_ray, lo, s_star, args=(c, rho, offset), xtol=1e-15, rtol=8.9e-16)
-    else:
-        hi = 2.0 * s_star
-        while _u_ray(hi, c, rho, offset) < 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise BracketError("no outer bracket found")
-        s = brentq(_u_ray, s_star, hi, args=(c, rho, offset), xtol=1e-15, rtol=8.9e-16)
-    return _polish_ray_root(s, c, rho, offset)
+        y = -y
+    active = m < 0.0
+    for _ in range(100):
+        if not active.any():
+            break
+        em1 = np.expm1(y)
+        step = np.divide(em1 - y + m, em1, out=np.zeros_like(y), where=active)
+        y = y - step
+        active &= np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(y))
+    r[ok] = np.exp((y - lc) / rho)
+    return r
 
 
-def szego_sigma(phi: float, rho: float, branch: SzegoBranch | str) -> float:
+def szego_sigma(phi, rho: float, branch: SzegoBranch | str):
     """Radius sigma(phi) of S(rho) on the ray arg z = phi.
 
-    The inner branch lives on |phi| <= pi/(2 rho) with sigma in
-    [e^{-1/rho}, 1]; the outer branch requires |phi| < pi/(2 rho) and has
-    sigma >= 1 (it diverges at the boundary angle).
+    phi is a scalar (returns a float) or an array (returns an array).  The
+    inner branch lives on |phi| <= pi/(2 rho) with sigma in [e^{-1/rho}, 1];
+    the outer branch requires |phi| < pi/(2 rho) and has sigma >= 1 (it
+    diverges at the boundary angle).
     """
     branch = SzegoBranch(branch)
     if branch == SzegoBranch.ARC:
-        return math.exp(-1.0 / rho)
-    bound = math.pi / (2.0 * rho)
-    if abs(phi) > bound + 1e-15:
-        raise ValueError(f"|phi| must be <= pi/(2 rho) = {bound:g}")
-    if phi == 0.0:
-        return 1.0  # double root; Newton would stall here
-    c = math.cos(rho * phi)
-    if abs(c) < 1e-15:
-        if branch == SzegoBranch.OUTER:
-            raise ValueError("outer branch diverges at |phi| = pi/(2 rho)")
-        return math.exp(-1.0 / rho)
-    return _ray_root(c, rho, 0.0, branch)
+        return _like(phi, np.full(np.shape(np.atleast_1d(phi)), math.exp(-1.0 / rho)))
+    c = _ray_cos(phi, rho)
+    if branch == SzegoBranch.OUTER and (np.abs(c) < 1e-15).any():
+        raise ValueError("outer branch diverges at |phi| = pi/(2 rho)")
+    return _like(phi, _level_radius(c, rho, 0.0, branch))
 
 
-def s_h_level_r(phi: float, rho: float, h: float, branch: SzegoBranch | str) -> float:
-    """Radius of the level curve u = -h/2 on the ray arg z = phi."""
+def s_h_level_r(phi, rho: float, h: float, branch: SzegoBranch | str):
+    """Radius of the level curve u = -h/2 on the ray arg z = phi (a scalar
+    or an array, as in szego_sigma)."""
     if h <= 0.0:
         raise ValueError("h must be > 0")
     branch = SzegoBranch(branch)
-    bound = math.pi / (2.0 * rho)
-    if abs(phi) > bound + 1e-15:
-        raise ValueError(f"|phi| must be <= pi/(2 rho) = {bound:g}")
-    c = math.cos(rho * phi)
-    if abs(c) < 1e-15:
-        if branch == SzegoBranch.OUTER:
-            raise BracketError("outer root does not exist at |phi| = pi/(2 rho)")
-        return math.exp((h / 2.0 - 1.0) / rho)
-    return _ray_root(c, rho, h / 2.0, branch)
+    c = _ray_cos(phi, rho)
+    if branch == SzegoBranch.OUTER and (np.abs(c) < 1e-15).any():
+        raise BracketError("outer root does not exist at |phi| = pi/(2 rho)")
+    return _like(phi, _level_radius(c, rho, h / 2.0, branch))
 
 
 def szego_curve(rho: float, samples_per_branch: int, r_max: float = 10.0) -> list[CurvePoint]:
@@ -182,22 +178,19 @@ def szego_curve(rho: float, samples_per_branch: int, r_max: float = 10.0) -> lis
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
     bound = math.pi / (2.0 * rho)
-    pts: list[CurvePoint] = []
-    for i in range(samples_per_branch):
-        phi = -bound + 2.0 * bound * i / (samples_per_branch - 1)
-        pts.append(CurvePoint(phi, szego_sigma(phi, rho, SzegoBranch.INNER), SzegoBranch.INNER))
-    r_arc = math.exp(-1.0 / rho)
-    for i in range(samples_per_branch):
-        phi = bound + (2.0 * math.pi - 2.0 * bound) * i / (samples_per_branch - 1)
-        pts.append(CurvePoint(phi, r_arc, SzegoBranch.ARC))
     # angle at which the outer radius hits r_max: cos(rho phi) = (1 + rho log r)/r^rho
     c_edge = (1.0 + rho * math.log(r_max)) / r_max**rho
     if c_edge >= 1.0:
         raise ValueError("r_max too small for an outer branch")
     phi_edge = math.acos(c_edge) / rho
-    for i in range(samples_per_branch):
-        phi = -phi_edge + 2.0 * phi_edge * i / (samples_per_branch - 1)
-        pts.append(CurvePoint(phi, szego_sigma(phi, rho, SzegoBranch.OUTER), SzegoBranch.OUTER))
+    inner = np.linspace(-bound, bound, samples_per_branch)
+    arc = np.linspace(bound, 2.0 * math.pi - bound, samples_per_branch)
+    outer = np.linspace(-phi_edge, phi_edge, samples_per_branch)
+    pts: list[CurvePoint] = []
+    for branch, phis in ((SzegoBranch.INNER, inner), (SzegoBranch.ARC, arc),
+                         (SzegoBranch.OUTER, outer)):
+        rs = szego_sigma(phis, rho, branch)
+        pts += [CurvePoint(p, r, branch) for p, r in zip(phis.tolist(), rs.tolist())]
     return pts
 
 
@@ -207,17 +200,17 @@ def classic_szego_indicator(z: complex) -> float:
     return abs(z) * math.exp(1.0 - z.real)
 
 
-def t_curve_r(phi: float, rho: float) -> float:
-    """Radius of the curve r^rho = rho phi / sin(rho phi), |phi| < pi/rho."""
-    if abs(phi) >= math.pi / rho:
+def t_curve_r(phi, rho: float):
+    """Radius of the curve r^rho = rho phi / sin(rho phi), |phi| < pi/rho;
+    phi is a scalar (returns a float) or an array (returns an array)."""
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    if (np.abs(phis) >= math.pi / rho).any():
         raise ValueError("t_curve_r requires |phi| < pi/rho")
-    x = rho * phi
-    if abs(x) < 1e-8:
-        # removable singularity: x/sin x = 1 + x^2/6 + O(x^4)
-        ratio = 1.0 + x * x / 6.0
-    else:
-        ratio = x / math.sin(x)
-    return ratio ** (1.0 / rho)
+    x = rho * phis
+    # removable singularity: x/sin x = 1 + x^2/6 + O(x^4)
+    small = np.abs(x) < 1e-8
+    ratio = np.where(small, 1.0 + x * x / 6.0, x / np.sin(np.where(small, 1.0, x)))
+    return _like(phi, ratio ** (1.0 / rho))
 
 
 def region_contains(z: complex, spec: RegionSpec) -> bool:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .curves import asymptote_distance
 from .mitlef import MLContext, _series_kernel, combo_batch
-from .specfun import ln_gamma, ln_gamma_arr
+from .specfun import ln_gamma
 
 __all__ = [
     "Window",
@@ -138,7 +138,7 @@ def _field_batch(ctx: MLContext, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ph = _wrap(ph - m * np.angle(wsafe))
     if (~nz).any():
         # reduced value at the origin is -1/Gamma(1 + (n+1)/rho)
-        lm = np.where(nz, lm, -float(ln_gamma_arr(np.array([1.0 + m / ctx.rho]))[0]))
+        lm = np.where(nz, lm, -ln_gamma(1.0 + m / ctx.rho))
         ph = np.where(nz, ph, math.pi)
     return lm, ph
 

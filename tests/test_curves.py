@@ -11,6 +11,7 @@ import pytest
 
 import mlsections
 from mlsections.curves import (
+    RESIDUAL_TOL,
     BracketError,
     RegionSpec,
     SzegoBranch,
@@ -55,9 +56,12 @@ def test_phase_u_symmetry():
 def test_szego_sigma_anchors():
     for rho in (1.5, 2.0, 4.0):
         bound = math.pi / (2.0 * rho)
-        # double root at phi = 0
+        # double root at phi = 0, and wherever cos(rho phi) rounds to 1
         assert szego_sigma(0.0, rho, "inner") == pytest.approx(1.0)
         assert szego_sigma(0.0, rho, "outer") == pytest.approx(1.0)
+        for branch in ("inner", "outer"):
+            assert np.array_equal(szego_sigma(np.array([-1e-9, 0.0, 1e-9]), rho, branch),
+                                  [1.0, 1.0, 1.0])
         # inner branch closes onto the circular arc at the sector edge
         assert szego_sigma(bound, rho, "inner") == pytest.approx(
             math.exp(-1.0 / rho), abs=1e-12)
@@ -88,6 +92,13 @@ def test_szego_sigma_residuals_and_ordering():
             assert ri < last_inner
             assert ro > last_outer
         last_inner, last_outer = ri, ro
+    # the array form equals the one-point calls and meets the curve equation
+    phis = bound * np.arange(1, 40) / 40.0
+    for branch in ("inner", "outer"):
+        rs = szego_sigma(phis, rho, branch)
+        assert np.array_equal(rs, [szego_sigma(p, rho, branch) for p in phis])
+        for phi, r in zip(phis, rs):
+            assert abs(phase_u(r * cmath.exp(1j * phi), rho)) < RESIDUAL_TOL
 
 
 def test_classic_szego_indicator():
@@ -149,6 +160,14 @@ def test_s_h_level_roots_meet_level():
         for r in (ri, ro):
             z = r * cmath.exp(1j * phi)
             assert phase_u(z, rho) == pytest.approx(-h / 2.0, abs=1e-11)
+    phis = np.array([-0.7, -0.4, 0.35, 0.4, 0.6, math.pi / (2.0 * rho) - 1e-3])
+    for branch in ("inner", "outer"):
+        rs = s_h_level_r(phis, rho, h, branch)
+        assert np.array_equal(rs, [s_h_level_r(p, rho, h, branch) for p in phis])
+        for phi, r in zip(phis, rs):
+            assert abs(phase_u(r * cmath.exp(1j * phi), rho) + h / 2.0) < RESIDUAL_TOL
+    with pytest.raises(BracketError):  # one ray below the level fails the batch
+        s_h_level_r(np.array([0.0, 0.4]), rho, h, "inner")
 
 
 # -------------------------------------------------------------- sampling
@@ -266,10 +285,14 @@ def test_outer_branch_approaches_asymptote():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize (about 20 MiB resident) is imported only when a curve
-    root is bracketed."""
+    """scipy.optimize and scipy.integrate (about 25 MiB resident together)
+    are not loaded by the package, its curves or its contour integrals."""
     src = os.path.dirname(os.path.dirname(mlsections.__file__))
-    code = "import sys, mlsections; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, mlsections, mlsections.verify, mlsections.cli\n"
+            "mlsections.szego_curve(2.0, 50)\n"
+            "mlsections.s_h_level_r(0.5, 2.0, 0.2, 'outer')\n"
+            "mlsections.verify.suite_kn()\n"
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -157,6 +159,45 @@ def test_kn_integrals_check_their_contour(integral):
         integral(0.4, ctx, ContourSpec(nu=1.0, H=1.0, ray_cutoff=4.0))
     with pytest.raises(ContourError):  # pole 1e-9 from the arc
         integral(1.0 + 1e-9j, ctx)
+    nu = default_contour(ctx).nu
+    # poles 1e-9 off the arc and off a ray, between the nodes of a uniform
+    # 721-point grid per piece: the check must use exact distances
+    for z in (cmath.exp(1j * nu / 720.0) * (1.0 + 1e-9),
+              cmath.exp(1j * nu) * (1.0 + 1.5 / 720.0 + 1e-9j)):
+        with pytest.raises(ContourError):
+            integral(z, ctx)
+
+
+def test_kn_integrals_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        suite_kn()
+        kn_quadrature(0.4, MLContext(rho=2.0, n=30, lam=0.5))
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-5])
+def test_kn_quadrature_near_pole_matches_mpmath(offset):
+    """Poles just outside the arc, where the graded panels carry the
+    accuracy; the reference splits the arc at the point nearest the pole."""
+    ctx = MLContext(rho=2.0, n=80, lam=0.5)
+    n, rho, rn = ctx.n, ctx.rho, ctx.radius_value
+    z = (1.0 + offset) * cmath.exp(0.3j)
+    contour = default_contour(ctx)
+    nu, cut = contour.nu, contour.ray_cutoff
+    with mp.workdps(20):
+        wp = mp.mpf(rn) ** rho
+
+        def f(t):
+            return mp.exp(wp * t ** rho - (n + 1) * mp.log(t)) / (t - z)
+
+        ref = mp.quad(lambda th: f(mp.expj(th)) * 1j * mp.expj(th), [-nu, 0.3, nu])
+        for sign in (1.0, -1.0):
+            e = mp.expj(sign * nu)
+            ref += sign * mp.quad(lambda s: f(s * e) * e, [1.0, cut])
+        ref = complex(ref * mp.mpf(rn) ** (-(n + 1)))
+    val, err = kn_quadrature(z, ctx)
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+    assert err <= 1e-10 * abs(ref)
 
 
 # ------------------------------------------------------------ pair checks
