@@ -160,7 +160,7 @@ def cmd_zeros(args) -> int:
     win = args.window
     warnings: list[str] = []
     if args.lam == 0:
-        recs = [r for r in poly_zeros(ctx) if win.contains(r.location)]
+        recs = [r for r in poly_zeros(ctx, tol=args.tol) if win.contains(r.location)]
         masked = 0
         winding = len(recs)
     else:

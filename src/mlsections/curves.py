@@ -111,10 +111,10 @@ def _level_radius(c: np.ndarray, rho: float, offset: float,
     With x = log r, u + offset = c e^{rho x} - 1 - rho x + offset is convex,
     with minimum m = log c + offset at x* = -(log c)/rho; in y = rho (x - x*)
     it reads e^y - 1 - y + m, free of cancellation near the double root.
-    Newton starts at y = -sqrt(-2m) (inner) or +sqrt(-2m) (outer) and
-    converges monotonically after one step.  Each ray stops on its own step, so its radius does not depend on
-    the batch.  m = 0 (c rounds to 1 at offset 0) is the double root y = 0;
-    sector-edge rays (|c| < 1e-15) take the limit e^{(offset - 1)/rho}.
+    Newton starts at y = -sqrt(-2m) (inner) or +sqrt(-2m) (outer); it is
+    monotone after one step, and each ray stops on its own step, so its
+    radius does not depend on the batch.  m = 0 (c rounds to 1 at offset 0)
+    is the double root y = 0; rays with |c| < 1e-15 take e^{(offset - 1)/rho}.
     """
     r = np.full(c.shape, math.exp((offset - 1.0) / rho))
     ok = np.abs(c) >= 1e-15

@@ -30,10 +30,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rgamma
 
 from .scaled import SC_ZERO, ScaledComplex, _wrap_phase, sc_add, sc_from_complex
-from .specfun import ln_gamma, ln_gamma_arr
+from .specfun import ln_gamma, ln_gamma_arr, rgamma
 
 __all__ = [
     "TruncationSpec",
@@ -285,8 +284,7 @@ def ml_asymptotic(z: complex, rho: float) -> ScaledComplex:
     z = complex(z)
     if abs(z) < ASYMPTOTIC_FLOOR:
         raise ValueError(f"asymptotic expansion requires |z| >= {ASYMPTOTIC_FLOOR}")
-    g1 = math.exp(ln_gamma(1.0 - 1.0 / rho))
-    alg = sc_from_complex(-1.0 / (z * g1))
+    alg = sc_from_complex(-rgamma(1.0 - 1.0 / rho) / z)
     if abs(cmath.phase(z)) <= math.pi / (2.0 * rho):
         zr = rho * cmath.log(z)
         expo = cmath.exp(zr)  # z^rho; modest magnitude, exponentiated in log form below
@@ -424,6 +422,10 @@ def combo_normalized_batch(zs: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, 
 _LOG_EPS = math.log(2.0 ** -52)
 # elements of the widest row array one _series_kernel chunk builds
 _CHUNK_ELEMENTS = 1 << 14
+# glibc maps each block above its mmap threshold (128 KiB at start) to fresh pages
+# and raises the threshold to the first such block freed: this 1 MiB one keeps the
+# 256 KiB chunk arrays on the heap, instead of page faults on every chunk
+np.empty(1 << 17)
 # A is suspect once its error floor comes within e^13.8 (~1e6) of its value
 _SUSPECT_GAP = 13.8
 
@@ -466,7 +468,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     zero = w == 0
     if zero.any():
         # s_n and E (and their derivatives) agree at w = 0
-        v = (a + b) * (math.exp(-ln_gamma(1.0 + 1.0 / rho)) if deriv else 1.0)
+        v = (a + b) * (rgamma(1.0 + 1.0 / rho) if deriv else 1.0)
         sv = sc_from_complex(v)
         out_log[zero] = sv.log_mag
         out_ph[zero] = sv.phase

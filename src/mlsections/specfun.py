@@ -1,9 +1,9 @@
-"""Special functions: real log-gamma and the complex error function.
+"""Special functions: real log-gamma, reciprocal gamma and complex erfc.
 
-Thin wrappers over math.lgamma and scipy.special (gammaln, erfc) that keep
-the package's domain checks: log-gamma is only defined here for x > 0.
-erfc uses the standard normalization erfc(z) = 1 - (2/sqrt(pi)) *
-int_0^z exp(-v^2) dv, so erfc(0) = 1 and erfc(+inf) = 0.
+ln Gamma (x > 0 only) and 1/Gamma (exactly 0 at x = 0, -1, -2, ...) come
+from math.lgamma and math.gamma; erfc alone needs SciPy, imported on its
+first call.  erfc(z) = 1 - (2/sqrt(pi)) int_0^z exp(-v^2) dv, so erfc(0) = 1
+and erfc(+inf) = 0.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-__all__ = ["ln_gamma", "ln_gamma_arr", "erf", "erfc"]
+__all__ = ["ln_gamma", "ln_gamma_arr", "rgamma", "erf", "erfc"]
 
 
 def ln_gamma(x: float) -> float:
@@ -24,15 +23,20 @@ def ln_gamma(x: float) -> float:
 
 
 def ln_gamma_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized ln_gamma for arrays of positive reals."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("ln_gamma_arr requires all x > 0")
-    return special.gammaln(x)
+    """ln_gamma over an array of positive reals."""
+    return np.vectorize(ln_gamma, otypes=[float])(x)
+
+
+def rgamma(x):
+    """1/Gamma(x) for real x, a scalar or an array; exactly 0 at x = 0, -1, -2, ..."""
+    if np.ndim(x):
+        return np.vectorize(rgamma, otypes=[float])(x)
+    return 0.0 if x <= 0.0 and float(x).is_integer() else 1.0 / math.gamma(x)
 
 
 def erfc(zeta):
     """Complementary error function on the complex plane, scalar or array."""
+    from scipy import special
     val = special.erfc(np.asarray(zeta, dtype=complex))
     return complex(val) if val.ndim == 0 else val
 

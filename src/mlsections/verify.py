@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rgamma
 
 from .scaled import ScaledComplex, sc_add, sc_from_complex, sc_mul, sc_sub
-from .specfun import erfc, ln_gamma
+from .specfun import erfc, ln_gamma, rgamma
 from .mitlef import (MLContext, combo_batch, combo_normalized, combo_normalized_batch,
                      ml_series, radius)
 from .curves import RegionSpec, asymptote_distance, phase_u, region_contains, szego_sigma
@@ -197,7 +196,7 @@ def theorem1_rhs(z: complex, ctx: MLContext, regime: str,
         coef = (1.0 - ctx.lam) * ctx.rho
         lead = sc_mul(sc_from_complex(coef), j1)
     else:
-        coef = (ctx.lam - 1.0) * math.exp(-ln_gamma(1.0 - 1.0 / ctx.rho))
+        coef = (ctx.lam - 1.0) * rgamma(1.0 - 1.0 / ctx.rho)
         lead = sc_mul(sc_from_complex(coef), j2)
     return sc_add(lead, pole)
 
@@ -256,9 +255,9 @@ def _kn_integral(z: complex, ctx: MLContext, contour: ContourSpec | None
     (t-plane, H = 1; default_contour if None), with an absolute error
     estimate that includes a bound on the cut-off ray tails.  The contour is
     checked: valid, H = R_n, cos(rho nu) < 0, and the pole at least 1e-6
-    from each piece by its exact distance.  In L = log t the integrand is
-    e^{wp e^{rho L} - n L} / (e^L - z) dL, evaluated once on all nodes of
-    the panels graded toward each piece's point nearest the pole."""
+    from the arc and the whole rays by exact distance.  In L = log t the
+    integrand is e^{wp e^{rho L} - n L} / (e^L - z) dL, evaluated once on
+    all nodes of the panels graded toward each piece's point nearest the pole."""
     n, rho = ctx.n, ctx.rho
     if contour is None:
         contour = default_contour(ctx)
@@ -274,7 +273,8 @@ def _kn_integral(z: complex, ctx: MLContext, contour: ContourSpec | None
     near = [min(max((z * e.conjugate()).real, 1.0), cut) for _, e in rays]
     d_ray = [abs(s * e - z) for s, (_, e) in zip(near, rays)]
     d_arc = abs(cmath.exp(1j * th) - z)
-    if min(d_arc, *d_ray) < 1e-6:
+    d_tail = min(abs(max((z * e.conjugate()).real, cut) * e - z) for _, e in rays)
+    if min(d_arc, d_tail, *d_ray) < 1e-6:
         raise ContourError("pole within 1e-6 R_n of the contour")
 
     x, w = _graded_panels(-nu, nu, th, d_arc)
@@ -289,8 +289,8 @@ def _kn_integral(z: complex, ctx: MLContext, contour: ContourSpec | None
     q16, q32 = f[:, :16].sum(), f[:, 16:].sum()
 
     # tail of each ray beyond the cutoff: |integrand| <= e^{wp s^rho cos(rho nu)}
-    # s^{-(n+1)} / d_ray, and the exponent decays at rate >= wp rho cut^{rho-1}|cos|
-    tail_log = wp * cut ** rho * crn - (n + 1) * math.log(cut) - math.log(min(d_ray))
+    # s^{-(n+1)} / d_tail, and the exponent decays at rate >= wp rho cut^{rho-1}|cos|
+    tail_log = wp * cut ** rho * crn - (n + 1) * math.log(cut) - math.log(d_tail)
     tail = math.exp(min(tail_log, 700.0)) / (wp * rho * cut ** (rho - 1.0) * abs(crn))
     return complex(q32), float(abs(q16 - q32)) + 2.0 * tail
 
@@ -437,8 +437,7 @@ def theorem4_rhs(zeta, frame: ScalingFrame4, lam: complex, next_order: bool = Fa
         # the arc |xi| = e^{-1/rho} (confirmed numerically at several rho)
         amp = (math.sqrt(2.0 * math.pi * math.exp((1.0 - rho) / rho))
                * math.exp(1.0 / rho)
-               / (rho ** (0.5 - 1.0 / rho) * math.exp(ln_gamma(1.0 - 1.0 / rho)))
-               ) * np.exp(-zt)
+               * rgamma(1.0 - 1.0 / rho) / rho ** (0.5 - 1.0 / rho)) * np.exp(-zt)
     if not next_order:
         return _complex_like(zeta, coef * amp - xi / (1.0 - xi))
     z = frame.map(zt)
@@ -455,7 +454,7 @@ def theorem4_rhs(zeta, frame: ScalingFrame4, lam: complex, next_order: bool = Fa
         b = lead + zt - 1j * frame.tau_n
         delta = (b * b / 2.0 - lead + rho / 12.0 - e1 - e2) / n
         w = radius(n, rho) * z
-        series = 1.0 + sum(math.gamma(1.0 - 1.0 / rho) * rgamma(1.0 - k / rho) / w ** (k - 1)
+        series = 1.0 + sum(rgamma(1.0 - k / rho) / (rgamma(1.0 - 1.0 / rho) * w ** (k - 1))
                            for k in range(2, math.floor(rho) + 2))
     pole = -z / (1.0 - z) + z / (rho * n * (1.0 - z) ** 3)
     return _complex_like(zeta, coef * amp * np.exp(delta) * series + pole)

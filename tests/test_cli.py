@@ -119,6 +119,22 @@ def test_zeros_strip_width(capsys):
     assert any(r["near_asymptote"] for r in data["records"])
 
 
+def test_zeros_lambda0_passes_tol(capsys, monkeypatch):
+    import mlsections.cli as cli
+    seen = []
+
+    def fake_poly_zeros(ctx, tol=1e-12):
+        seen.append(tol)
+        return []
+
+    monkeypatch.setattr(cli, "poly_zeros", fake_poly_zeros)
+    code, out, _ = run(["zeros", "--rho", "2", "--n", "20", "--lambda", "0",
+                        "--window", "-2,2,-2,2", "--tol", "3e-11"], capsys)
+    assert code == 0
+    assert seen == [3e-11]
+    assert json.loads(out)["header"]["tol"] == 3e-11
+
+
 def test_zeros_lambda0_large_n_all_certified(capsys):
     code, out, _ = run(["zeros", "--rho", "2", "--n", "400", "--lambda", "0",
                         "--window", "-2,2,-2,2"], capsys)

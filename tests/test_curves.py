@@ -284,15 +284,28 @@ def test_outer_branch_approaches_asymptote():
 
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize and scipy.integrate (about 25 MiB resident together)
-    are not loaded by the package, its curves or its contour integrals."""
+def test_import_loads_scipy_only_for_erfc():
+    """The package, its evaluators, zero locators, curves and every suite
+    but Theorem 3 run without SciPy; scipy.special, for the complex erfc of
+    the Theorem 3 profile, is loaded on its first use."""
     src = os.path.dirname(os.path.dirname(mlsections.__file__))
     code = ("import sys, mlsections, mlsections.verify, mlsections.cli\n"
+            "from mlsections import MLContext, Window\n"
+            "ctx = MLContext(rho=2.0, n=20, lam=0.5)\n"
+            "mlsections.combo(0.5 + 0.2j, ctx)\n"
+            "mlsections.tail(0.5, ctx)\n"
+            "mlsections.ml_series(2.0 + 1.0j, 2.0)\n"
+            "mlsections.ml_mu(1.5, 2.0, 1.5)\n"
+            "mlsections.ml_asymptotic(6.0 + 1.0j, 2.0)\n"
+            "mlsections.locate_zeros(ctx, Window(-1.8, 1.8, -1.8, 1.8))\n"
+            "mlsections.poly_zeros(MLContext(rho=2.0, n=20, lam=0.0))\n"
             "mlsections.szego_curve(2.0, 50)\n"
             "mlsections.s_h_level_r(0.5, 2.0, 0.2, 'outer')\n"
             "mlsections.verify.suite_kn()\n"
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+            "mlsections.verify.suite_theorem4()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "mlsections.verify.suite_theorem3()\n"
+            "print('scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

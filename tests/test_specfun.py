@@ -1,4 +1,4 @@
-"""Log-gamma and complex error functions."""
+"""Log-gamma, reciprocal gamma and complex error functions."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlsections.specfun import erf, erfc, ln_gamma, ln_gamma_arr
+from mlsections.mitlef import _asym_coefs
+from mlsections.specfun import erf, erfc, ln_gamma, ln_gamma_arr, rgamma
 
 
 def test_ln_gamma_small_integers():
@@ -33,13 +34,34 @@ def test_ln_gamma_domain():
         ln_gamma(0.0)
     with pytest.raises(ValueError):
         ln_gamma(-1.5)
+    with pytest.raises(ValueError):
+        ln_gamma_arr(np.array([1.0, 0.0]))
 
 
 def test_ln_gamma_arr_matches_scalar():
     xs = np.array([0.5, 1.0, 3.25, 17.0, 1234.5])
     got = ln_gamma_arr(xs)
     for x, g in zip(xs, got):
-        assert g == pytest.approx(ln_gamma(float(x)), rel=1e-14)
+        assert g == ln_gamma(float(x))
+
+
+def test_rgamma_poles_types_and_scipy():
+    from scipy.special import rgamma as scipy_rgamma
+    for x in (0.0, -1.0, -7.0):
+        assert rgamma(x) == 0.0
+    assert type(rgamma(2.5)) is float
+    assert rgamma(3.0) == 0.5
+    xs = np.array([[-7.0, -2.5], [0.25, 4.0]])
+    got = rgamma(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert got[0, 0] == 0.0
+    for rho in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+        x = 1.0 - np.arange(1, 81) / rho
+        ref = scipy_rgamma(x)
+        assert np.all(np.abs(rgamma(x) - ref) <= 2e-15 * np.abs(ref))
+    # the vanishing terms theorem4_rhs relies on: 1/Gamma(1 - k/2) = 0 at even k
+    assert np.all(_asym_coefs(2.0)[1::2] == 0.0)
+    assert np.all(_asym_coefs(2.0)[::2] != 0.0)
 
 
 def test_erfc_at_zero_and_one():

@@ -166,6 +166,8 @@ def test_kn_integrals_check_their_contour(integral):
               cmath.exp(1j * nu) * (1.0 + 1.5 / 720.0 + 1e-9j)):
         with pytest.raises(ContourError):
             integral(z, ctx)
+    with pytest.raises(ContourError):  # pole on a ray beyond its cutoff 4
+        integral(4.5 * cmath.exp(1j * nu), ctx)
 
 
 def test_kn_integrals_raise_no_warning():
