@@ -23,7 +23,6 @@ from .scaled import (
 from .specfun import ln_gamma, erf, erfc
 from .mitlef import (
     MLContext,
-    TruncationSpec,
     MaxTermInfo,
     radius,
     radius_asymptotic,

@@ -20,6 +20,10 @@ combo, section, tail and ml_series are all a s_n(w) + b E(w) for one
 coefficient pair, (1, -lam), (1, 0), (-1, 1) and (0, 1), and are evaluated
 by one kernel (_series_kernel) that picks, per point, between the direct
 sum and two forms that take E from its asymptotic expansion.
+
+The truncation policy is fixed: each series is cut at the first term past
+its peak that is below REL_TOL of the peak, plus TAIL_MARGIN terms, and a
+series that needs more than MAX_TERMS terms raises TruncationError.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .scaled import SC_ZERO, ScaledComplex, _wrap_phase, sc_add, sc_from_complex
 from .specfun import ln_gamma, ln_gamma_arr, rgamma
 
 __all__ = [
-    "TruncationSpec",
     "MaxTermInfo",
     "MLContext",
     "TruncationError",
@@ -64,22 +67,10 @@ class CancellationWarning(UserWarning):
     """A subtraction lost more than half of the working digits."""
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    rel_tol: float = 1e-14
-    max_terms: int = 200_000
-    tail_margin: int = 64
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError("rel_tol must be in (0, 1e-6]")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be >= 16")
-        if self.tail_margin < 1:
-            raise ValueError("tail_margin must be >= 1")
-
-
-DEFAULT_TRUNC = TruncationSpec()
+# the truncation policy (see the module docstring)
+REL_TOL = 1e-14
+MAX_TERMS = 200_000
+TAIL_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ class MaxTermInfo:
 
 @dataclass(frozen=True)
 class MLContext:
-    """Parameter bundle (rho, n, lam) plus truncation policy.
+    """Parameter bundle (rho, n, lam).
 
     rho >= 1 is accepted so the rho = 1 exponential oracle can share the
     machinery; theorem-level code additionally requires rho > 1.
@@ -99,7 +90,6 @@ class MLContext:
     rho: float
     n: int
     lam: complex = 0.0 + 0.0j
-    trunc: TruncationSpec = field(default_factory=TruncationSpec)
 
     def __post_init__(self):
         if not self.rho >= 1.0:
@@ -188,12 +178,11 @@ def _norm_sum(logt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, nu, logt.sum(axis=1)
 
 
-def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
-                     mu: float = 1.0) -> tuple[float, int, int]:
+def _peak_and_cutoff(lr: float, rho: float, mu: float = 1.0) -> tuple[float, int, int]:
     """Peak value, its index, and the truncation index of the terms at |w| = e^lr.
 
-    The cutoff is the first index past the peak whose term is below rel_tol
-    of the peak, plus the tail margin.  The log-terms
+    The cutoff is the first index past the peak whose term is below REL_TOL
+    of the peak, plus TAIL_MARGIN.  The log-terms
     t_k = k lr - ln Gamma(mu + k/rho) are concave in k (ln Gamma is convex),
     so once a term past the scanned maximum is lower than it, the maximum is
     the peak of the whole sequence and every later term is lower still: the
@@ -203,15 +192,15 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
 
     The first chunk is sized from the central index nu(r) ~ rho r^rho: past
     the peak the log-terms fall quadratically with curvature ~ 1/(rho nu),
-    so they lose |log rel_tol| within ~ sqrt(2 |log rel_tol| rho nu) terms;
+    so they lose |log REL_TOL| within ~ sqrt(2 |log REL_TOL| rho nu) terms;
     the chunk takes about twice that to cover the slower fall at small nu.
     The scan checks the estimate and goes on in doubled chunks if it falls
     short.
-    Raises TruncationError when the cutoff exceeds max_terms.
+    Raises TruncationError when the cutoff exceeds MAX_TERMS.
     """
-    log_tol = math.log(trunc.rel_tol)
+    log_tol = math.log(REL_TOL)
     row = np.array([lr])
-    hi = _first_scan_end(lr, rho, trunc)
+    hi = _first_scan_end(lr, rho)
     best = -math.inf
     nu = 0
     k0 = 0
@@ -223,48 +212,46 @@ def _peak_and_cutoff(lr: float, rho: float, trunc: TruncationSpec,
             idx = int(np.nonzero(logt == m)[0][-1])
             best = m
             nu = k0 + idx
-        # the cutoff is at least hi + tail_margin while no term is below yet
+        # the cutoff is at least hi + TAIL_MARGIN while no term is below yet
         past = max(nu + 1, k0)
         below = np.flatnonzero(logt[past - k0:] < best + log_tol)
-        kcut = (past + int(below[0]) if below.size else hi) + trunc.tail_margin
-        if kcut > trunc.max_terms:
-            raise TruncationError(
-                f"series did not converge within {trunc.max_terms} terms"
-            )
+        kcut = (past + int(below[0]) if below.size else hi) + TAIL_MARGIN
+        if kcut > MAX_TERMS:
+            raise TruncationError(f"series did not converge within {MAX_TERMS} terms")
         if below.size:
             return best, nu, kcut
         k0, hi = hi, 2 * hi
 
 
-def _first_scan_end(lr: float, rho: float, trunc: TruncationSpec) -> int:
+def _first_scan_end(lr: float, rho: float) -> int:
     """End of the first cutoff-scan chunk at |w| = e^lr (see _peak_and_cutoff)."""
-    est = rho * math.exp(min(rho * lr, math.log(trunc.max_terms)))
-    return min(int(est + 3.0 * math.sqrt(-math.log(trunc.rel_tol) * rho * (est + 1.0))) + 1,
-               trunc.max_terms + 1)
+    est = rho * math.exp(min(rho * lr, math.log(MAX_TERMS)))
+    return min(int(est + 3.0 * math.sqrt(-math.log(REL_TOL) * rho * (est + 1.0))) + 1,
+               MAX_TERMS + 1)
 
 
-def max_term(r: float, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> MaxTermInfo:
+def max_term(r: float, rho: float) -> MaxTermInfo:
     """Maximal term and central index of E at radius r."""
     if not r > 0.0:
         raise ValueError("r must be > 0")
-    mu_log, nu, _kcut = _peak_and_cutoff(math.log(r), rho, trunc)
+    mu_log, nu, _kcut = _peak_and_cutoff(math.log(r), rho)
     return MaxTermInfo(mu_log=mu_log, nu=nu)
 
 
-def ml_series(z: complex, rho: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> ScaledComplex:
+def ml_series(z: complex, rho: float) -> ScaledComplex:
     """E(z) from its power series, or from the asymptotic expansion where
     the series cancels below its rounding floor."""
-    return _kernel_at(z, 0, rho, trunc, 0.0, 1.0)[0]
+    return _kernel_at(z, 0, rho, 0.0, 1.0)[0]
 
 
-def ml_mu(z: complex, rho: float, mu: float, trunc: TruncationSpec = DEFAULT_TRUNC) -> ScaledComplex:
+def ml_mu(z: complex, rho: float, mu: float) -> ScaledComplex:
     """Two-parameter function sum_k z^k / Gamma(mu + k/rho), mu >= 1."""
     if mu < 1.0:
         raise ValueError("mu must be >= 1")
     z = complex(z)
     if z == 0:
         return ScaledComplex(-ln_gamma(mu), 0.0)
-    _peak, _nu, kcut = _peak_and_cutoff(math.log(abs(z)), rho, trunc, mu=mu)
+    _peak, _nu, kcut = _peak_and_cutoff(math.log(abs(z)), rho, mu=mu)
     m, _nu, s = _norm_sum(_log_terms(np.log([z]), 0, kcut + 1, rho, mu=mu))
     log_mag, phase = _log_polar(s, m)
     return _scaled(float(log_mag[0]), float(phase[0]))
@@ -335,8 +322,14 @@ def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
     if not deriv:
         alg = -alg
 
-    theta = np.angle(wv)
-    lr = np.log(np.abs(wv))
+    le, pe = _asym_exp(np.log(np.abs(wv)), np.angle(wv), rho, deriv)
+    return _combine((1.0, np.exp(1j * pe), le), (1.0, alg, np.zeros(len(wv))))
+
+
+def _asym_exp(lr: np.ndarray, theta: np.ndarray, rho: float, deriv: bool
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(log_mag, phase) of rho e^{w^rho} (or its w-derivative) at w = e^lr e^{i theta},
+    the exponential part of _ml_asym_batch; log_mag is -inf outside |arg w| <= pi/rho."""
     rp = np.exp(rho * lr)
     le = rp * np.cos(rho * theta) + math.log(rho)
     pe = rp * np.sin(rho * theta)
@@ -344,13 +337,12 @@ def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
         # d/dw of rho e^{w^rho} = rho^2 w^{rho-1} e^{w^rho}
         le = le + math.log(rho) + (rho - 1.0) * lr
         pe = pe + (rho - 1.0) * theta
-    le = np.where(np.abs(theta) <= math.pi / rho, le, -np.inf)
-    return _combine((1.0, np.exp(1j * pe), le), (1.0, alg, np.zeros(len(wv))))
+    return np.where(np.abs(theta) <= math.pi / rho, le, -np.inf), pe
 
 
 def section(z: complex, ctx: MLContext) -> ScaledComplex:
     """Section s_n(R_n z) in scaled form."""
-    return _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, ctx.trunc, 1.0, 0.0)[0]
+    return _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, 1.0, 0.0)[0]
 
 
 def tail(z: complex, ctx: MLContext) -> ScaledComplex:
@@ -359,8 +351,7 @@ def tail(z: complex, ctx: MLContext) -> ScaledComplex:
     Summed forward, or as E - s_n where that sum cancels; warns when the
     chosen form still leaves less than half the working digits.
     """
-    val, floor = _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, ctx.trunc,
-                            -1.0, 1.0)
+    val, floor = _kernel_at(ctx.radius_value * complex(z), ctx.n, ctx.rho, -1.0, 1.0)
     if not val.is_zero and floor > val.log_mag + 0.5 * _LOG_EPS:
         warnings.warn(
             "tail lost more than half the working digits",
@@ -400,8 +391,7 @@ def combo_batch(zs: np.ndarray, ctx: MLContext, deriv: bool = False
     """
     zs = np.asarray(zs, dtype=complex)
     rn = ctx.radius_value
-    log_mag, phase, _floor = _series_kernel(rn * zs.ravel(), ctx.n, ctx.rho, ctx.trunc,
-                                            1.0, -ctx.lam, deriv)
+    log_mag, phase, _floor = _series_kernel(rn * zs.ravel(), ctx.n, ctx.rho, 1.0, -ctx.lam, deriv)
     if deriv:
         log_mag = log_mag + math.log(rn)
     return log_mag.reshape(zs.shape), phase.reshape(zs.shape)
@@ -430,9 +420,8 @@ np.empty(1 << 17)
 _SUSPECT_GAP = 13.8
 
 
-def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
-                   a: complex, b: complex, deriv: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
+                   deriv: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a s_n(w) + b E(w), or its w-derivative, at each point of the 1-D array w.
 
     Returns (log_mag, phase, log_floor): the value in log-polar form (exact
@@ -442,13 +431,13 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     three representations with different error floors:
 
       A  (a+b) S + b T          direct sum: eps-part of S and T
-      B  a S + b E_asym         eps-part of S, |b| e^{-|w|^rho}
-      C  (a+b) E_asym - a T     |a+b| e^{-|w|^rho}, eps-part of the first
-                                tail term; only while |w| <= R_{n+1}, where
-                                the tail terms decrease from k = n+1 on
+      B  a S + b E_asym         eps-part of S, |b| times E_asym's error
+      C  (a+b) E_asym - a T     |a+b| times E_asym's error, eps-part of the
+                                first tail term; only while |w| <= R_{n+1},
+                                where the tail terms decrease from k = n+1 on
 
-    At rho = 1 E_asym is e^w exactly, so B and C charge it eps max(1, |w|)
-    e^{Re w}, its rounding, in place of the remainder e^{-|w|^rho}.
+    E_asym's error is its rounding and, for rho > 1, its remainder; at
+    rho = 1 E_asym is e^w exactly.
 
     The eps-part of a sum is eps * max(1, |log-term|) * (largest term): the
     log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
@@ -456,8 +445,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     is suspect (its floor within e^13.8 of its value) and B or C promises a
     lower floor.  T is computed only where it is read: always when b != 0,
     otherwise on the points routed to C.  When b != 0, a point whose central
-    index rho |w|^rho exceeds max_terms, and where B's remainder
-    e^{-|w|^rho} is below rel_tol, takes B and does not set the cutoff;
+    index rho |w|^rho exceeds MAX_TERMS, and where B's remainder
+    e^{-|w|^rho} is below REL_TOL, takes B and does not set the cutoff;
     past the budget every other point still raises TruncationError.
     """
     a, b = complex(a), complex(b)
@@ -476,7 +465,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     if live.size == 0:
         return out_log, out_ph, out_floor
     logw = np.log(w[live])
-    # C reads T only where |w| <= R_{n+1}, and needs it to rel_tol of its
+    # C reads T only where |w| <= R_{n+1}, and needs it to REL_TOL of its
     # first term: there the tail falls from t_{n+1} at least as fast as at
     # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
     # covers every C point.  The cutoff grows with |w|, so for A one cutoff,
@@ -485,16 +474,16 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     kcut = far = None
     if b != 0:
         lr_max = float(logw.real.max())
-        lr_far = max(math.log(trunc.max_terms / rho), math.log(-math.log(trunc.rel_tol))) / rho
+        lr_far = max(math.log(MAX_TERMS / rho), math.log(-math.log(REL_TOL))) / rho
         if lr_max > lr_far:
             far = logw.real > lr_far
             lr_max = float(np.max(logw.real[~far], initial=lr_fwd))
-        kcut = _peak_and_cutoff(max(lr_max, lr_fwd), rho, trunc)[2]
+        kcut = _peak_and_cutoff(max(lr_max, lr_fwd), rho)[2]
     width = n + 1 if kcut is None else kcut + 1
     # chunks are sized from the widest row array built: the series rows, the
     # asymptotic rows, or the C-route tail to (about) the R_{n+1} cutoff,
     # which a b != 0 row already covers
-    c_width = 0 if kcut else _first_scan_end(lr_fwd, rho, trunc) + trunc.tail_margin - n
+    c_width = 0 if kcut else _first_scan_end(lr_fwd, rho) + TAIL_MARGIN - n
     chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
     for c0 in range(0, live.size, chunk):
         idx = live[c0:c0 + chunk]
@@ -518,13 +507,15 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
         j = np.nonzero(suspect)[0]
         if j.size:
             lwj = lw[j]
-            # log of E_asym's error: its remainder, or at rho = 1, where
-            # E = e^w exactly (1/Gamma(1 - k) = 0), the rounding of e^w
-            if rho == 1:
-                e_err = _LOG_EPS + np.maximum(0.0, lwj.real) + w[idx[j]].real
-            else:
+            # log of E_asym's error: eps max(1, |w|^rho) times its exponential
+            # part; for rho > 1 also eps times its first algebraic term (for E,
+            # |w|^-1 / |Gamma(1 - 1/rho)|) and its remainder e^{-|w|^rho}
+            lr = lwj.real
+            e_err = _LOG_EPS + np.maximum(0.0, rho * lr) + _asym_exp(lr, lwj.imag, rho, deriv)[0]
+            if rho > 1:
+                e_alg = _LOG_EPS - (2.0 if deriv else 1.0) * lr + math.log(rgamma(1.0 - 1.0 / rho))
                 with np.errstate(over="ignore"):
-                    e_err = -np.exp(rho * lwj.real)
+                    e_err = np.logaddexp(e_err, np.logaddexp(e_alg, -np.exp(rho * lr)))
             fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.full(j.size, np.inf)
             first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
             forward = lwj.real <= lr_fwd
@@ -543,7 +534,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
                 floor[jb] = fl_b[use_b]
             if jc.size:
                 if b == 0:
-                    kcut = kcut or _peak_and_cutoff(lr_fwd, rho, trunc)[2]
+                    kcut = kcut or _peak_and_cutoff(lr_fwd, rho)[2]
                     mt, _nu, st = _norm_sum(_log_terms(lw[jc], n + 1, kcut + 1, rho, deriv))
                 else:
                     mt, st = m_t[jc], s_t[jc]
@@ -557,10 +548,10 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, trunc: TruncationSpec,
     return out_log, out_ph, out_floor
 
 
-def _kernel_at(w: complex, n: int, rho: float, trunc: TruncationSpec,
-               a: complex, b: complex) -> tuple[ScaledComplex, float]:
+def _kernel_at(w: complex, n: int, rho: float, a: complex, b: complex
+               ) -> tuple[ScaledComplex, float]:
     """_series_kernel at one point: (value, log of its error floor)."""
-    log_mag, phase, floor = _series_kernel(np.array([complex(w)]), n, rho, trunc, a, b)
+    log_mag, phase, floor = _series_kernel(np.array([complex(w)]), n, rho, a, b)
     return _scaled(float(log_mag[0]), float(phase[0])), float(floor[0])
 
 

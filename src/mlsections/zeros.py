@@ -316,7 +316,7 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
 
 def _section(z: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log|s_n|, arg s_n, log of its error floor) at R_n z."""
-    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, ctx.trunc, 1.0, 0.0)
+    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, 1.0, 0.0)
 
 
 def _log_lead(ctx: MLContext) -> float:
@@ -400,12 +400,19 @@ def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
     return cert
 
 
+def _check_tol(tol: float) -> None:
+    """The domain check shared by both locators."""
+    if tol < 1e-12:
+        raise ValueError("tol must be >= 1e-12")
+
+
 def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:
     """All n roots of the section s_n(R_n z): Aberth-Ehrlich iteration on the
     scaled kernel, Newton polish, then inclusion disks with a winding-count
     fallback, each as one batch."""
     if ctx.lam != 0:
         raise ValueError("poly_zeros requires lam = 0")
+    _check_tol(tol)
     buf = np.empty((ctx.n, ctx.n), dtype=complex)  # the one n x n array, reused
     roots = _aberth(ctx, buf)
     z, res, ok, runc = _newton_polish(roots[np.lexsort((roots.imag, roots.real))], ctx, tol)
@@ -426,8 +433,7 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     near the cell; clusters that never separate above the minimum cell size
     are reported unpolished with their count.
     """
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    _check_tol(tol)
     # lam = 1: winding runs on the origin-reduced function, so the known
     # multiplicity at 0 is reported directly rather than subdivided into.
     masked = ctx.n + 1 if ctx.lam == 1 and window.contains(0.0) else 0

@@ -218,6 +218,12 @@ def test_exit_code_invalid_parameters(capsys):
     code, _, _ = run(["zeros", "--rho", "2", "--n", "3", "--lambda", "0",
                       "--window", "1,-1,-1,1"], capsys)
     assert code == 2
+    # tol below the locators' domain, at lam = 0 (poly_zeros) as elsewhere
+    for lam in ("0", "0.5"):
+        code, _, err = run(["zeros", "--rho", "2", "--n", "10", "--lambda", lam,
+                            "--window", "-1,1,-1,1", "--tol", "1e-14"], capsys)
+        assert code == 2
+        assert "tol must be >= 1e-12" in err
 
 
 def test_exit_code_numeric_failure(capsys, monkeypatch):

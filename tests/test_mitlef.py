@@ -10,10 +10,10 @@ import pytest
 
 from mlsections import mitlef
 from mlsections.mitlef import (
-    DEFAULT_TRUNC,
     MLContext,
     TruncationError,
-    TruncationSpec,
+    _LOG_EPS,
+    _kernel_at,
     _log_terms,
     _peak_and_cutoff,
     combo,
@@ -88,9 +88,9 @@ def _brute_cutoff(lr, rho, mu=1.0):
     """Peak, its last index and the cutoff, from one long row of log-terms."""
     t = _log_terms(np.array([lr]), 0, 20_000, rho, mu=mu)[0]
     nu = int(np.flatnonzero(t == t.max())[-1])
-    first = nu + 1 + int(np.argmax(t[nu + 1:] < t[nu] + math.log(DEFAULT_TRUNC.rel_tol)))
+    first = nu + 1 + int(np.argmax(t[nu + 1:] < t[nu] + math.log(mitlef.REL_TOL)))
     assert first < len(t) - 1
-    return float(t[nu]), nu, first + DEFAULT_TRUNC.tail_margin
+    return float(t[nu]), nu, first + mitlef.TAIL_MARGIN
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
@@ -98,47 +98,52 @@ def test_cutoff_matches_brute_force(rho):
     for mu in (1.0, 1.7, 3.0):
         # log r from -3 up to a central index of ~10^4
         for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
-            assert _peak_and_cutoff(lr, rho, DEFAULT_TRUNC, mu) == _brute_cutoff(lr, rho, mu)
+            assert _peak_and_cutoff(lr, rho, mu) == _brute_cutoff(lr, rho, mu)
     for n in range(1, 60):
         # exactly at a jump radius the larger index wins a tie
         lr = math.log(radius(n, rho))
-        got = _peak_and_cutoff(lr, rho, DEFAULT_TRUNC)
+        got = _peak_and_cutoff(lr, rho)
         assert got == _brute_cutoff(lr, rho)
         assert got[1] in (n - 1, n)
     # an exact floating-point tie: rho = 1, r = R_1 = 1, terms 1/k!
-    assert _peak_and_cutoff(0.0, 1.0, DEFAULT_TRUNC)[1] == 1
+    assert _peak_and_cutoff(0.0, 1.0)[1] == 1
 
 
 def test_cutoff_well_below_old_floor_on_acceptance_window():
     # the scan used to return from its second 4096-term chunk only
     for n in (20, 50, 100):
         lr = math.log(radius(n, 2.0) * abs(1.8 + 1.8j))
-        kcut = _peak_and_cutoff(lr, 2.0, DEFAULT_TRUNC)[2]
+        kcut = _peak_and_cutoff(lr, 2.0)[2]
         assert kcut == _brute_cutoff(lr, 2.0)[2]
         assert kcut < 4160
 
 
-def test_truncation_budget():
+def test_truncation_budget(monkeypatch):
     lr = math.log(radius(50, 2.0) * abs(1.8 + 1.8j))
-    kcut = _peak_and_cutoff(lr, 2.0, DEFAULT_TRUNC)[2]
-    assert _peak_and_cutoff(lr, 2.0, TruncationSpec(max_terms=kcut))[2] == kcut
-    with pytest.raises(TruncationError):
-        _peak_and_cutoff(lr, 2.0, TruncationSpec(max_terms=kcut - 1))
-    with pytest.raises(TruncationError):
-        max_term(1.0, 2.0, TruncationSpec(max_terms=16))
-    with pytest.raises(TruncationError):
-        ml_mu(0.5, 2.0, 1.5, TruncationSpec(max_terms=16))
+    kcut = _peak_and_cutoff(lr, 2.0)[2]
     # the peak itself lies past the budget (central index ~ 6.5e5)
     with pytest.raises(TruncationError):
         max_term(20.0, 4.0)
-    # past the budget the asymptotic form serves where e^{-|w|^rho} is below
-    # rel_tol (|w| = 7: central index 98 > 40), and only there (|w| = 5:
-    # central index 50 > 40, but e^{-25} is above rel_tol)
-    small = TruncationSpec(max_terms=40, tail_margin=1)
-    for w in (7.0, -7.0, 7.0j):
-        assert _rel(ml_series(w, 2.0, small), ml_series(w, 2.0)) < 1e-13
+    full = {w: ml_series(w, 2.0) for w in (7.0, -7.0, 7.0j)}
+    monkeypatch.setattr(mitlef, "MAX_TERMS", kcut)
+    assert _peak_and_cutoff(lr, 2.0)[2] == kcut
+    monkeypatch.setattr(mitlef, "MAX_TERMS", kcut - 1)
     with pytest.raises(TruncationError):
-        ml_series(5.0, 2.0, small)
+        _peak_and_cutoff(lr, 2.0)
+    monkeypatch.setattr(mitlef, "MAX_TERMS", 16)
+    with pytest.raises(TruncationError):
+        max_term(1.0, 2.0)
+    with pytest.raises(TruncationError):
+        ml_mu(0.5, 2.0, 1.5)
+    # past the budget the asymptotic form serves where e^{-|w|^rho} is below
+    # REL_TOL (|w| = 7: central index 98 > 40), and only there (|w| = 5:
+    # central index 50 > 40, but e^{-25} is above REL_TOL)
+    monkeypatch.setattr(mitlef, "MAX_TERMS", 40)
+    monkeypatch.setattr(mitlef, "TAIL_MARGIN", 1)
+    for w, ref in full.items():
+        assert _rel(ml_series(w, 2.0), ref) < 1e-13
+    with pytest.raises(TruncationError):
+        ml_series(5.0, 2.0)
 
 
 # ----------------------------------------------------------------- series
@@ -229,12 +234,21 @@ def test_series_asymptotic_agreement_golden():
             assert math.exp(gap.log_mag) <= tol if not gap.is_zero else True
 
 
+@pytest.mark.parametrize("w,rho", [(20.0, 4.0), (20j, 4.0), (-20.0, 2.0), (-7.0, 2.0),
+                                   (15j, 1.5)])
+def test_asymptotic_floor_is_not_below_rounding(w, rho):
+    # E from its asymptotic form is rounded like any computed value: its
+    # floor may not claim less than eps of it, however small the remainder
+    val, floor = _kernel_at(w, 0, rho, 0.0, 1.0)
+    assert floor >= val.log_mag + _LOG_EPS - 0.5
+
+
 def test_series_matches_golden_everywhere():
     """ml_series on |z| = 20 against the frozen high-precision values.
 
     In the decay sector the power series cancels from terms near e^{|z|^rho}
     down to |E| = O(1/|z|), so the value must come from the asymptotic form
-    there.  At rho = 4 the series would need ~6e5 terms, beyond max_terms,
+    there.  At rho = 4 the series would need ~6e5 terms, beyond MAX_TERMS,
     so every point takes the asymptotic form.
     """
     with open(GOLDEN) as f:

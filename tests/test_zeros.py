@@ -347,6 +347,15 @@ def test_strip_filter_partitions():
         strip_filter([], rho, 0.0)
 
 
+def test_locators_share_tol_domain():
+    ctx = MLContext(rho=2.0, n=10)
+    with pytest.raises(ValueError, match="tol must be >= 1e-12"):
+        poly_zeros(ctx, tol=1e-13)
+    with pytest.raises(ValueError, match="tol must be >= 1e-12"):
+        locate_zeros(MLContext(rho=2.0, n=10, lam=0.5), Window(-1.0, 1.0, -1.0, 1.0), tol=1e-13)
+    assert len(poly_zeros(ctx, tol=1e-12)) == 10
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(1.0, -1.0, 0.0, 1.0)
