@@ -39,6 +39,11 @@ KN_RATIO_DEV_AT_80 = 0.15    # |ratio - 1| ceiling at n=80
 LEMMA4_C1 = 1.0              # documented lower-bound constant for |J1'|
 LEMMA4_SMALLNESS = 1e-2      # "o(1)" proxy ceiling at n=200
 
+# The K_n contour: rays at arg = +-(pi/(2 rho) + KN_NU_MARGIN), cut at
+# |t| = KN_RAY_CUTOFF in units of R_n.  Read at call time.
+KN_NU_MARGIN = 0.1
+KN_RAY_CUTOFF = 4.0
+
 
 class RegimeError(ValueError):
     """The point violates (or straddles) the requested regime's conditions."""
@@ -46,26 +51,6 @@ class RegimeError(ValueError):
 
 class ContourError(RuntimeError):
     """The integration contour passes too close to the pole."""
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Hankel-style contour: two rays arg = +-nu (|zeta| >= H) and the arc.
-
-    ray_cutoff is the truncation radius of the rays, in units of H.
-    """
-
-    nu: float
-    H: float
-    ray_cutoff: float
-
-    def validate(self, rho: float) -> None:
-        if not (math.pi / (2.0 * rho) < self.nu <= math.pi / rho):
-            raise ValueError("nu must lie in (pi/(2 rho), pi/rho]")
-        if not self.H > 0.0:
-            raise ValueError("H must be positive")
-        if not self.ray_cutoff > 1.0:
-            raise ValueError("ray_cutoff must exceed 1 (in units of H)")
 
 
 @dataclass(frozen=True)
@@ -85,33 +70,27 @@ class ScalingFrame3:
 
 @dataclass(frozen=True)
 class ScalingFrame4:
-    """Local frame at a limit-curve point xi, part 'I' (sector) or 'II' (arc)."""
+    """Local frame at a limit-curve point xi; its part, 'I' (sector) or 'II'
+    (arc), follows from arg xi."""
 
     xi: complex
     n: int
     rho: float
-    part: str
+    part: str = field(init=False)
     tau_n: float = field(init=False)
 
     def __post_init__(self):
         rho, xi = self.rho, complex(self.xi)
-        phi = cmath.phase(xi)
-        sector = math.pi / (2.0 * rho)
-        if self.part == "I":
-            if not (0.0 < phi < sector):
-                raise ValueError("part I requires 0 < arg xi < pi/(2 rho)")
+        part = _theorem4_part(xi, rho)
+        if part == "I":
             if abs(abs(xi) - 1.0) < 1e-12:
                 raise ValueError("part I excludes |xi| = 1")
             if abs(phase_u(xi, rho)) > 1e-9:
                 raise ValueError("xi must lie on the limit curve (u(xi) = 0)")
-        elif self.part == "II":
-            if abs(abs(xi) - math.exp(-1.0 / rho)) > 1e-9:
-                raise ValueError("part II requires |xi| = e^{-1/rho}")
-            if not (sector < phi <= math.pi):
-                raise ValueError("part II requires pi/(2 rho) < arg xi <= pi")
-        else:
-            raise ValueError("part must be 'I' or 'II'")
-        object.__setattr__(self, "tau_n", theorem4_tau(xi, rho, self.n, self.part))
+        elif abs(abs(xi) - math.exp(-1.0 / rho)) > 1e-9:
+            raise ValueError("part II requires |xi| = e^{-1/rho}")
+        object.__setattr__(self, "part", part)
+        object.__setattr__(self, "tau_n", theorem4_tau(xi, rho, self.n))
 
     def map(self, zeta: complex) -> complex:
         n, rho, xi = self.n, self.rho, complex(self.xi)
@@ -176,17 +155,13 @@ def _regime_of(z: complex, rho: float, delta2: float, delta3: float) -> str:
     raise RegimeError("z lies in none of the covered regimes")
 
 
-def theorem1_rhs(z: complex, ctx: MLContext, regime: str,
+def theorem1_rhs(z: complex, ctx: MLContext,
                  delta2: float = 0.2, delta3: float = 0.2) -> ScaledComplex:
-    """Leading right-hand side of the regime expansion, o(1) factors = 1."""
+    """Leading right-hand side of the expansion in z's regime, o(1) factors = 1."""
     z = complex(z)
     if z == 0 or z == 1:
         raise RegimeError("z = 0 and z = 1 are excluded")
-    actual = _regime_of(z, ctx.rho, delta2, delta3)
-    if regime not in {"outer_sector", "inner_sector", "exterior"}:
-        raise ValueError(f"unknown regime {regime!r}")
-    if actual != regime:
-        raise RegimeError(f"z is in regime {actual!r}, not {regime!r}")
+    regime = _regime_of(z, ctx.rho, delta2, delta3)
     j1, j2 = j_primes(z, ctx)
     pole = sc_from_complex(-z / (1.0 - z))
     if regime == "outer_sector":
@@ -205,9 +180,8 @@ def theorem1_check(z: complex, ctx: MLContext,
                    delta2: float = 0.2, delta3: float = 0.2) -> float:
     """Relative deviation between the normalized combination and its regime
     formula; tends to 0 in n."""
-    regime = _regime_of(complex(z), ctx.rho, delta2, delta3)
+    rhs = theorem1_rhs(z, ctx, delta2, delta3)
     lhs = combo_normalized(z, ctx)
-    rhs = theorem1_rhs(z, ctx, regime, delta2, delta3)
     diff = sc_sub(lhs, rhs)
     denom = max(lhs.log_mag, rhs.log_mag)
     if denom == -math.inf:
@@ -216,12 +190,6 @@ def theorem1_check(z: complex, ctx: MLContext,
 
 
 # --- contour integral -------------------------------------------------------
-
-
-def default_contour(ctx: MLContext, delta3: float = 0.2,
-                    ray_cutoff: float = 4.0) -> ContourSpec:
-    return ContourSpec(nu=math.pi / (2.0 * ctx.rho) + delta3 / 2.0,
-                       H=ctx.radius_value, ray_cutoff=ray_cutoff)
 
 
 @functools.cache
@@ -248,26 +216,21 @@ def _graded_panels(a: float, b: float, p: float, d: float
     return mid[:, None] + half[:, None] * x, half[:, None] * w
 
 
-def _kn_integral(z: complex, ctx: MLContext, contour: ContourSpec | None
-                 ) -> tuple[complex, float]:
+def _kn_integral(z: complex, ctx: MLContext) -> tuple[complex, float]:
     """Integral of e^{wp t^rho} t^{-(n+1)} / (t - z), wp = R_n^rho, over the
-    arc |t| = 1, |arg t| <= nu, and the rays arg t = +-nu out to ray_cutoff
-    (t-plane, H = 1; default_contour if None), with an absolute error
-    estimate that includes a bound on the cut-off ray tails.  The contour is
-    checked: valid, H = R_n, cos(rho nu) < 0, and the pole at least 1e-6
-    from the arc and the whole rays by exact distance.  In L = log t the
-    integrand is e^{wp e^{rho L} - n L} / (e^L - z) dL, evaluated once on
-    all nodes of the panels graded toward each piece's point nearest the pole."""
+    arc |t| = 1, |arg t| <= nu, and the rays arg t = +-nu out to
+    KN_RAY_CUTOFF (t-plane, zeta = R_n t), nu = pi/(2 rho) + KN_NU_MARGIN,
+    with an absolute error estimate that includes a bound on the cut-off ray
+    tails.  The contour is checked: nu <= pi/rho, cos(rho nu) < 0, and the
+    pole at least 1e-6 from the arc and the whole rays by exact distance.
+    In L = log t the integrand is e^{wp e^{rho L} - n L} / (e^L - z) dL,
+    evaluated once on all nodes of the panels graded toward each piece's
+    point nearest the pole."""
     n, rho = ctx.n, ctx.rho
-    if contour is None:
-        contour = default_contour(ctx)
-    contour.validate(rho)
-    if abs(contour.H - ctx.radius_value) > 1e-9 * ctx.radius_value:
-        raise ValueError("contour radius must equal R_n (H = R_n)")
-    nu, cut = contour.nu, contour.ray_cutoff
+    nu, cut = math.pi / (2.0 * rho) + KN_NU_MARGIN, KN_RAY_CUTOFF
     crn = math.cos(rho * nu)
-    if crn >= 0.0:
-        raise ValueError("ray direction must have cos(rho nu) < 0")
+    if not (nu <= math.pi / rho and crn < 0.0):
+        raise ValueError("the K_n rays need nu <= pi/rho and cos(rho nu) < 0")
     th = min(max(cmath.phase(z), -nu), nu)  # nearest arc point
     rays = [(sign, cmath.exp(1j * sign * nu)) for sign in (1.0, -1.0)]
     near = [min(max((z * e.conjugate()).real, 1.0), cut) for _, e in rays]
@@ -295,8 +258,7 @@ def _kn_integral(z: complex, ctx: MLContext, contour: ContourSpec | None
     return complex(q32), float(abs(q16 - q32)) + 2.0 * tail
 
 
-def kn_quadrature(z: complex, ctx: MLContext,
-                  contour: ContourSpec | None = None) -> tuple[complex, float]:
+def kn_quadrature(z: complex, ctx: MLContext) -> tuple[complex, float]:
     """Contour integral of e^{zeta^rho} zeta^{-(n+1)} / (zeta - R_n z) over
     the arc and truncated rays, rescaled to the unit-radius plane.
 
@@ -305,20 +267,19 @@ def kn_quadrature(z: complex, ctx: MLContext,
     the pole; the error is its distance from the 16-point rule on the same
     panels plus an analytic bound on the truncated ray tails.
     """
-    total, err = _kn_integral(complex(z), ctx, contour)
+    total, err = _kn_integral(complex(z), ctx)
     scale = math.exp(-(ctx.n + 1) * math.log(ctx.radius_value))  # zeta = R_n t
     return total * scale, err * scale
 
 
-def kn_ratio(z: complex, ctx: MLContext,
-             contour: ContourSpec | None = None) -> complex:
+def kn_ratio(z: complex, ctx: MLContext) -> complex:
     """rho (R_n z)^{n+1} K_n / (2 pi i), divided by the predicted
     R_n^n z^n z / ((1-z) Gamma(1+n/rho)); tends to 1 on the good set."""
     z = complex(z)
     n, rho = ctx.n, ctx.rho
     rn = ctx.radius_value
     # the integral of kn_quadrature, kept un-rescaled; combined in logs
-    q, _err = _kn_integral(z, ctx, contour)
+    q, _err = _kn_integral(z, ctx)
     if q == 0:
         return 0.0
     # ratio = rho R_n Gamma(1+n/rho) (1-z) K_n / (2 pi i), K_n = R_n^{-(n+1)} Q
@@ -351,20 +312,29 @@ def theorem3_pair(zeta, ctx: MLContext):
     return _complex_like(zeta, lhs), _complex_like(zeta, rhs)
 
 
-def theorem4_tau(xi: complex, rho: float, n: int, part: str) -> float:
+def _theorem4_part(xi: complex, rho: float) -> str:
+    """'I' for 0 < arg xi < pi/(2 rho) (the sector branches), 'II' for
+    pi/(2 rho) < arg xi <= pi (the arc)."""
+    phi, sector = cmath.phase(xi), math.pi / (2.0 * rho)
+    if 0.0 < phi < sector:
+        return "I"
+    if sector < phi <= math.pi:
+        return "II"
+    raise ValueError("theorem 4 needs 0 < arg xi <= pi with arg xi != pi/(2 rho)")
+
+
+def theorem4_tau(xi: complex, rho: float, n: int) -> float:
     """The phase-alignment sequence, reduced to (-pi, pi].
 
-    part 'I' uses tau = |xi|^rho sin(rho phi) - rho phi (the curve-consistent
+    Part 'I' uses tau = |xi|^rho sin(rho phi) - rho phi (the curve-consistent
     exponent), times n / rho; part 'II' uses (n+1) phi.
     """
     xi = complex(xi)
     phi = cmath.phase(xi)
-    if part == "I":
+    if _theorem4_part(xi, rho) == "I":
         raw = (abs(xi) ** rho * math.sin(rho * phi) - rho * phi) / rho * n
-    elif part == "II":
-        raw = (n + 1) * phi
     else:
-        raise ValueError("part must be 'I' or 'II'")
+        raw = (n + 1) * phi
     red = math.remainder(raw, 2.0 * math.pi)
     if red <= -math.pi:
         red += 2.0 * math.pi
@@ -522,14 +492,13 @@ def suite_theorem1(rho: float = 2.0, lam: complex = 0.5,
 def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
                    n_list: tuple[int, ...] = (50, 100), h: float = 0.2,
                    delta2: float = 0.2, delta3: float = 0.2,
-                   window: Window | None = None, tol: float = 1e-10,
                    zero_sets: dict | None = None) -> dict:
-    """No located zero may fall in any of the five excluded regions.
+    """No zero located in the acceptance window [-1.8, 1.8]^2 may fall in
+    any of the five excluded regions.
 
     zero_sets, if given, maps n -> ZeroSet and skips relocating.
     """
-    if window is None:
-        window = Window(-1.8, 1.8, -1.8, 1.8)
+    window = Window(-1.8, 1.8, -1.8, 1.8)
     specs = [RegionSpec(f"omega{i}", rho, h=h, delta2=delta2, delta3=delta3)
              for i in range(1, 6)]
     violations = []
@@ -537,7 +506,7 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
         ctx = MLContext(rho=rho, n=n, lam=lam)
         zs = zero_sets.get(n) if zero_sets else None
         if zs is None:
-            zs = locate_zeros(ctx, window, tol=tol)
+            zs = locate_zeros(ctx, window)
         bad = sum(1 for rec in zs.records
                   for spec in specs if region_contains(rec.location, spec))
         violations.append(bad)
@@ -572,9 +541,9 @@ def theorem4_frames(rho: float, n: int) -> list[ScalingFrame4]:
     inner = szego_sigma(phi, rho, "inner") * cmath.exp(1j * phi)
     outer = szego_sigma(phi, rho, "outer") * cmath.exp(1j * phi)
     arc = math.exp(-1.0 / rho) * cmath.exp(2.0j)
-    return [ScalingFrame4(inner, n, rho, "I"),
-            ScalingFrame4(outer, n, rho, "I"),
-            ScalingFrame4(arc, n, rho, "II")]
+    return [ScalingFrame4(inner, n, rho),
+            ScalingFrame4(outer, n, rho),
+            ScalingFrame4(arc, n, rho)]
 
 
 def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
@@ -639,10 +608,10 @@ def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200),
                  h: float = 0.2, delta2: float = 0.2, delta3: float = 0.2) -> dict:
     specs = {k: RegionSpec(k, rho, h=h, delta2=delta2, delta3=delta3)
              for k in _OMEGA_SAMPLES}
-    for k, spec in specs.items():  # samples must genuinely lie in their regions
+    for k, spec in specs.items():  # the samples lie in their regions at rho = 2
         for z in _OMEGA_SAMPLES[k]:
             if not region_contains(z, spec):
-                raise RuntimeError(f"sample {z} escaped {k}")
+                raise RegimeError(f"sample {z} lies outside {k} at rho = {rho}")
     ok = True
     metrics = []
     for n in n_list:

@@ -163,6 +163,23 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_theorem4_single_lambda(capsys):
+    code, out, _ = run(["verify", "theorem4", "--rho", "2", "--lambda", "0.5",
+                        "--n", "75,300"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["params"]["lam_list"] == [[0.5, 0.0]]
+    assert len(rep["metric_list"]) == 3  # one per frame
+
+
+@pytest.mark.parametrize("rho", ["1.5", "3", "4"])
+def test_verify_lemma4_off_its_samples_is_invalid(capsys, rho):
+    # the lemma 4 sample points lie in their regions at rho = 2 only
+    code, _, err = run(["verify", "lemma4", "--rho", rho], capsys)
+    assert code == 2
+    assert "lies outside omega" in err and f"rho = {float(rho)}" in err
+
+
 def test_verify_rejects_foreign_flag(capsys):
     # lemma1 takes no n-list
     code, _, err = run(["verify", "lemma1", "--n", "10,20"], capsys)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -93,8 +94,14 @@ def _brute_cutoff(lr, rho, mu=1.0):
     return float(t[nu]), nu, first + mitlef.TAIL_MARGIN
 
 
-@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
-def test_cutoff_matches_brute_force(rho):
+_CUTOFF_CASES = [(rho, end) for end in (None, 1, 8, 33) for rho in (1.5, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("rho,first_end", _CUTOFF_CASES,
+                         ids=[f"{r}" if e is None else f"{r}-first{e}" for r, e in _CUTOFF_CASES])
+def test_cutoff_matches_brute_force(rho, first_end, monkeypatch):
+    if first_end is not None:  # a first chunk that falls short: the scan doubles it
+        monkeypatch.setattr(mitlef, "_first_scan_end", lambda lr, rho: first_end)
     for mu in (1.0, 1.7, 3.0):
         # log r from -3 up to a central index of ~10^4
         for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
@@ -295,6 +302,16 @@ def test_tail_two_paths_agree():
     w = ctx.radius_value * 0.5
     e_minus_s = sc_sub(ml_series(w, 2.0), section(0.5, ctx))
     assert _rel(t_forward, e_minus_s) < 1e-10
+
+
+def test_tail_warns_only_where_it_loses_half_the_digits():
+    # a point of the pointwise benchmark sweep (seed 7) where neither form
+    # of the tail keeps half the digits
+    with pytest.warns(mitlef.CancellationWarning):
+        tail(1.590538908684074 + 0.5025121002953595j, MLContext(rho=1.5, n=100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail(0.5, MLContext(rho=2.0, n=50))
 
 
 def test_combo_special_lambdas():

@@ -8,16 +8,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mlsections import verify
 from mlsections.mitlef import MLContext
 from mlsections.curves import szego_sigma
 from mlsections.scaled import sc_to_complex
 from mlsections.verify import (
     ContourError,
-    ContourSpec,
     RegimeError,
     ScalingFrame3,
     ScalingFrame4,
-    default_contour,
     j_primes,
     kn_quadrature,
     kn_ratio,
@@ -52,17 +51,23 @@ def test_scaling_frame4_validation():
     rho = 2.0
     phi = 0.25
     inner = szego_sigma(phi, rho, "inner") * cmath.exp(1j * phi)
-    f = ScalingFrame4(inner, 100, rho, "I")
+    f = ScalingFrame4(inner, 100, rho)
+    assert f.part == "I"
     assert -math.pi < f.tau_n <= math.pi
     # off-curve point rejected
     with pytest.raises(ValueError):
-        ScalingFrame4(0.5 * cmath.exp(1j * phi), 100, rho, "I")
+        ScalingFrame4(0.5 * cmath.exp(1j * phi), 100, rho)
     # wrong radius for the arc part
     with pytest.raises(ValueError):
-        ScalingFrame4(0.9 * cmath.exp(2.0j), 100, rho, "II")
+        ScalingFrame4(0.9 * cmath.exp(2.0j), 100, rho)
     arc = math.exp(-1.0 / rho) * cmath.exp(2.0j)
-    f2 = ScalingFrame4(arc, 100, rho, "II")
+    f2 = ScalingFrame4(arc, 100, rho)
+    assert f2.part == "II"
     assert abs(abs(f2.map(0.0)) - abs(arc)) < 0.1
+    # the conjugate frames lie outside both parts, as does the ray itself
+    for xi in (inner.conjugate(), arc.conjugate(), cmath.exp(1j * math.pi / (2.0 * rho))):
+        with pytest.raises(ValueError):
+            ScalingFrame4(xi, 100, rho)
 
 
 def test_theorem4_tau_reduction():
@@ -70,13 +75,13 @@ def test_theorem4_tau_reduction():
     phi = 0.25
     xi = szego_sigma(phi, rho, "inner") * cmath.exp(1j * phi)
     for n in (75, 150, 301):
-        t = theorem4_tau(xi, rho, n, "I")
+        t = theorem4_tau(xi, rho, n)
         assert -math.pi < t <= math.pi
     # part II is (n+1) phi reduced
-    t2 = theorem4_tau(math.exp(-0.5) * cmath.exp(2.0j), rho, 10, "II")
+    t2 = theorem4_tau(math.exp(-0.5) * cmath.exp(2.0j), rho, 10)
     assert t2 == pytest.approx(math.remainder(22.0, 2.0 * math.pi))
-    with pytest.raises(ValueError):
-        theorem4_tau(xi, rho, 10, "III")
+    with pytest.raises(ValueError):  # a conjugate xi lies in neither part
+        theorem4_tau(xi.conjugate(), rho, 10)
 
 
 # ----------------------------------------------------------- regime RHS
@@ -85,16 +90,14 @@ def test_theorem1_rhs_outer_sector_lam0():
     # with lam = 0 the leading exponential has coefficient zero and the
     # regime formula collapses to the pole term -z/(1-z)
     ctx = MLContext(rho=2.0, n=50, lam=0.0)
-    v = sc_to_complex(theorem1_rhs(2.0, ctx, "outer_sector"))
+    v = sc_to_complex(theorem1_rhs(2.0, ctx))
     assert v == pytest.approx(2.0, rel=1e-12)
 
 
 def test_theorem1_regime_errors():
     ctx = MLContext(rho=2.0, n=50, lam=0.5)
     with pytest.raises(RegimeError):
-        theorem1_rhs(1.0, ctx, "outer_sector")  # excluded point
-    with pytest.raises(RegimeError):
-        theorem1_rhs(2.0, ctx, "inner_sector")  # wrong regime
+        theorem1_rhs(1.0, ctx)  # excluded point
     with pytest.raises(RegimeError):
         # inside the delta2 disk around 1: no regime applies
         theorem1_check(1.05, ctx)
@@ -122,25 +125,26 @@ def test_j_primes_against_stirling():
 
 # ------------------------------------------------------------ quadrature
 
-def test_contour_validation():
-    ctx = MLContext(rho=2.0, n=20, lam=0.5)
-    spec = default_contour(ctx)
-    spec.validate(2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(nu=0.1, H=1.0, ray_cutoff=4.0).validate(2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(nu=1.0, H=-1.0, ray_cutoff=4.0).validate(2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(nu=1.0, H=1.0, ray_cutoff=0.5).validate(2.0)
-
-
-def test_kn_quadrature_error_estimate():
+def test_kn_quadrature_error_estimate(monkeypatch):
     ctx = MLContext(rho=2.0, n=30, lam=0.5)
     val, err = kn_quadrature(0.4, ctx)
     assert err < 1e-6 * max(1.0, abs(val))
     # longer rays only reduce the truncation error
-    val2, err2 = kn_quadrature(0.4, ctx, default_contour(ctx, ray_cutoff=6.0))
+    monkeypatch.setattr(verify, "KN_RAY_CUTOFF", 6.0)
+    val2, err2 = kn_quadrature(0.4, ctx)
     assert abs(val2 - val) <= 10.0 * (err + err2)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_kn_quadrature_does_not_depend_on_nu(monkeypatch, rho):
+    # K_n is a contour integral of a function analytic off the pole, so
+    # turning the rays within (pi/(2 rho), pi/rho] must not move it
+    ctx = MLContext(rho=rho, n=40, lam=0.5)
+    points = (0.4, 0.6 * cmath.exp(0.5j), 0.5 * cmath.exp(2.0j), 1.3 * cmath.exp(-2.2j))
+    base = [kn_quadrature(z, ctx)[0] for z in points]
+    monkeypatch.setattr(verify, "KN_NU_MARGIN", 0.25)
+    for z, ref in zip(points, base):
+        assert abs(kn_quadrature(z, ctx)[0] - ref) <= 1e-12 * abs(ref), z
 
 
 def test_kn_ratio_improves_with_n():
@@ -152,14 +156,12 @@ def test_kn_ratio_improves_with_n():
 
 @pytest.mark.parametrize("integral", [kn_quadrature, kn_ratio])
 def test_kn_integrals_check_their_contour(integral):
+    with pytest.raises(ValueError):  # rho > 5 pi: nu = pi/(2 rho) + 0.1 > pi/rho
+        integral(0.4, MLContext(rho=16.0, n=20, lam=0.5))
     ctx = MLContext(rho=2.0, n=20, lam=0.5)
-    with pytest.raises(ValueError):  # nu outside (pi/(2 rho), pi/rho]
-        integral(0.4, ctx, ContourSpec(nu=0.3, H=1.0, ray_cutoff=4.0))
-    with pytest.raises(ValueError):  # H != R_n
-        integral(0.4, ctx, ContourSpec(nu=1.0, H=1.0, ray_cutoff=4.0))
     with pytest.raises(ContourError):  # pole 1e-9 from the arc
         integral(1.0 + 1e-9j, ctx)
-    nu = default_contour(ctx).nu
+    nu = math.pi / (2.0 * ctx.rho) + verify.KN_NU_MARGIN
     # poles 1e-9 off the arc and off a ray, between the nodes of a uniform
     # 721-point grid per piece: the check must use exact distances
     for z in (cmath.exp(1j * nu / 720.0) * (1.0 + 1e-9),
@@ -184,8 +186,7 @@ def test_kn_quadrature_near_pole_matches_mpmath(offset):
     ctx = MLContext(rho=2.0, n=80, lam=0.5)
     n, rho, rn = ctx.n, ctx.rho, ctx.radius_value
     z = (1.0 + offset) * cmath.exp(0.3j)
-    contour = default_contour(ctx)
-    nu, cut = contour.nu, contour.ray_cutoff
+    nu, cut = math.pi / (2.0 * rho) + verify.KN_NU_MARGIN, verify.KN_RAY_CUTOFF
     with mp.workdps(20):
         wp = mp.mpf(rn) ** rho
 

@@ -270,6 +270,23 @@ def test_locate_n1():
     assert zs.total_winding == 1
 
 
+def test_locate_jitters_a_window_whose_edge_holds_the_zero(monkeypatch):
+    # rho = 1, n = 1: s_1(R_1 z) = 1 + z, whose zero -1 lies on the left edge
+    counts = []
+
+    def spy(ctx, rects):
+        out = _contour_integrals(ctx, rects)
+        counts.append(out[0])
+        return out
+
+    monkeypatch.setattr(zeros, "_contour_integrals", spy)
+    zs = locate_zeros(MLContext(rho=1.0, n=1, lam=0.0), Window(-1.0, 1.0, -1.0, 1.0))
+    assert counts[:2] == [[None], [1]]  # the count stalls, then the jittered one holds
+    assert len(zs.records) == 1 and zs.records[0].certified
+    assert abs(zs.records[0].location + 1.0) <= 1e-12
+    assert zs.total_winding == 1
+
+
 @pytest.mark.parametrize("rho,n", [(1.5, 5), (2.0, 15), (4.0, 30)])
 def test_locate_matches_poly(rho, n):
     ctx = MLContext(rho=rho, n=n, lam=0.0)
