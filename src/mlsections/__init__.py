@@ -40,7 +40,6 @@ from .mitlef import (
 from .curves import (
     SzegoBranch,
     CurvePoint,
-    RegionSpec,
     phase_u,
     szego_sigma,
     s_h_level_r,

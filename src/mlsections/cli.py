@@ -197,11 +197,7 @@ def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     accepted = inspect.signature(suite).parameters
     kwargs = {"rho": args.rho}
-    supplied = {
-        "lam": args.lam, "n_list": args.n_list, "h": args.h,
-        "delta2": args.delta2, "delta3": args.delta3,
-        "r_list": args.r_list, "grid_side": args.grid_side,
-    }
+    supplied = {"lam": args.lam, "n_list": args.n_list, "r_list": args.r_list}
     if args.suite == "theorem4" and args.lam is not None:
         supplied["lam_list"] = (args.lam,)
         supplied.pop("lam")
@@ -217,9 +213,7 @@ def cmd_verify(args) -> int:
         "lambda": None if args.lam is None
         else [args.lam.real, args.lam.imag],
         "n_list": list(args.n_list) if args.n_list else None,
-        "h": args.h, "delta2": args.delta2, "delta3": args.delta3,
         "r_list": list(args.r_list) if args.r_list else None,
-        "grid_side": args.grid_side,
     }
     with _open_out(args.out) as f:
         f.write(json.dumps(report, indent=1, sort_keys=True))
@@ -338,16 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--out", default="-")
     pz.set_defaults(func=cmd_zeros)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    # no abbreviations: a retired flag such as --h must not read as --help
+    pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     pv.add_argument("suite", choices=sorted(SUITES))
     pv.add_argument("--rho", type=float, default=2.0)
     pv.add_argument("--lambda", type=parse_lambda, default=None, dest="lam")
     pv.add_argument("--n", type=parse_int_list, default=None, dest="n_list")
-    pv.add_argument("--h", type=float, default=None)
-    pv.add_argument("--delta2", type=float, default=None)
-    pv.add_argument("--delta3", type=float, default=None)
     pv.add_argument("--r", type=parse_float_list, default=None, dest="r_list")
-    pv.add_argument("--grid-side", type=int, default=None, dest="grid_side")
     pv.add_argument("--out", default="-")
     pv.set_defaults(func=cmd_verify)
 

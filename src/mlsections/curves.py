@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "SzegoBranch",
     "CurvePoint",
-    "RegionSpec",
     "BracketError",
     "phase_u",
     "szego_sigma",
@@ -35,6 +34,14 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-12
+
+# Margins of the zero-free regions omega1..omega5 (and of the Theorem 1
+# regimes): the level offset h of u, the disk radius delta2 about z = 1, and
+# the angle delta3 from the rays arg z = +-pi/(2 rho).
+REGION_H = 0.2
+REGION_DELTA2 = 0.2
+REGION_DELTA3 = 0.2
+REGIONS = ("omega1", "omega2", "omega3", "omega4", "omega5")
 
 
 class BracketError(RuntimeError):
@@ -56,27 +63,6 @@ class CurvePoint:
     @property
     def z(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """One of the five zero-free regions with its margin parameters."""
-
-    region_id: str  # "omega1" .. "omega5"
-    rho: float
-    h: float = 0.2
-    delta2: float = 0.2
-    delta3: float = 0.2
-
-    def __post_init__(self):
-        if self.region_id not in {"omega1", "omega2", "omega3", "omega4", "omega5"}:
-            raise ValueError(f"unknown region id {self.region_id!r}")
-        if not self.rho > 1.0:
-            raise ValueError("rho must be > 1")
-        if min(self.h, self.delta2, self.delta3) <= 0.0:
-            raise ValueError("region parameters must be strictly positive")
-        if not self.delta3 < math.pi / (2.0 * self.rho):
-            raise ValueError("delta3 must be below pi/(2 rho)")
 
 
 def phase_u(z: complex, rho: float) -> float:
@@ -213,23 +199,34 @@ def t_curve_r(phi, rho: float):
     return _like(phi, ratio ** (1.0 / rho))
 
 
-def region_contains(z: complex, spec: RegionSpec) -> bool:
+def _check_region_rho(rho: float) -> None:
+    """The regions need 1 < rho < pi/(2 delta3), so that delta3 fits inside
+    the sector |arg z| <= pi/(2 rho)."""
+    if not 1.0 < rho < math.pi / (2.0 * REGION_DELTA3):
+        raise ValueError(f"regions need 1 < rho < pi/(2 delta3) = "
+                         f"{math.pi / (2.0 * REGION_DELTA3):.6g}, got rho = {rho:g}")
+
+
+def region_contains(z: complex, region: str, rho: float) -> bool:
     """Membership in one of the zero-free regions (boundaries included)."""
+    if region not in REGIONS:
+        raise ValueError(f"unknown region id {region!r}")
+    _check_region_rho(rho)
     z = complex(z)
     if z == 0:
         raise ValueError("regions exclude z = 0")
     r = abs(z)
     phi = abs(cmath.phase(z))
-    rho, h, d2, d3 = spec.rho, spec.h, spec.delta2, spec.delta3
+    h, d2, d3 = REGION_H, REGION_DELTA2, REGION_DELTA3
     sector = math.pi / (2.0 * rho)
     u = phase_u(z, rho)
-    if spec.region_id == "omega1":
+    if region == "omega1":
         return r <= 1.0 and abs(z - 1.0) >= d2 and phi <= sector - d3 and u >= 0.0
-    if spec.region_id == "omega2":
+    if region == "omega2":
         return phi <= sector - d3 and u <= -h
-    if spec.region_id == "omega3":
+    if region == "omega3":
         return r >= math.exp(-1.0 / rho) + h and phi >= sector + d3
-    if spec.region_id == "omega4":
+    if region == "omega4":
         return r <= math.exp(-1.0 / rho) - h and phi >= sector + d3
     # omega5
     return r >= 1.0 and phi <= sector - d3 and u >= h

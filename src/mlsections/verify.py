@@ -2,14 +2,17 @@
 
 Each check compares an exact finite-n quantity (evaluated through the scaled
 series machinery) against the leading term of its limit formula, with the
-o(1) factors set to 1.  The exception is Theorem 4: its curve frames leave
-an O((log n)^2 / n) (part I) or O(n^{-1/rho}) (part II) term whose size
-swings with the phase sequence tau_n, so its suite gates on the residual
-against the limit plus its closed-form next-order term (theorem4_rhs) and
-reports the leading-order residual next to it.  Because the underlying
-statements are limits in n, most checks are trend checks (the deviation
-must shrink along an n-list); a few absolute thresholds were frozen after
-calibration runs and are kept as module constants.
+o(1) factors set to 1.  Theorem 1's exterior term also carries S, the
+algebraic expansion of E past its first term (_algebraic_series): its first
+correction is of order n^{-1/rho} (zero at rho = 2), too slow for the frozen
+ceiling at n = 200 when rho = 3.  The other exception is Theorem 4: its
+curve frames leave an O((log n)^2 / n) (part I) or O(n^{-1/rho}) (part II)
+term whose size swings with the phase sequence tau_n, so its suite gates on
+the residual against the limit plus its closed-form next-order term
+(theorem4_rhs) and reports the leading-order residual next to it.  Because
+the underlying statements are limits in n, most checks are trend checks
+(the deviation must shrink along an n-list); a few absolute thresholds were
+frozen after calibration runs and are kept as module constants.
 
 Suites return a plain dict {check_id, params, n_list, metric_list, pass}
 (theorem4 adds metric_list_leading) that the CLI serializes verbatim.
@@ -28,7 +31,8 @@ from .scaled import ScaledComplex, sc_add, sc_from_complex, sc_mul, sc_sub
 from .specfun import erfc, ln_gamma, rgamma
 from .mitlef import (MLContext, combo_batch, combo_normalized, combo_normalized_batch,
                      ml_series, radius)
-from .curves import RegionSpec, asymptote_distance, phase_u, region_contains, szego_sigma
+from .curves import (REGION_DELTA2, REGION_DELTA3, REGION_H, REGIONS, _check_region_rho,
+                     asymptote_distance, phase_u, region_contains, szego_sigma)
 from .zeros import Window, locate_zeros, strip_filter
 
 # Calibrated absolute thresholds (frozen after pre-runs; trend checks carry
@@ -38,6 +42,8 @@ THEOREM3_DEV_AT_200 = 0.05   # |lhs - 1/2| at lam=0, zeta=0, n=200
 KN_RATIO_DEV_AT_80 = 0.15    # |ratio - 1| ceiling at n=80
 LEMMA4_C1 = 1.0              # documented lower-bound constant for |J1'|
 LEMMA4_SMALLNESS = 1e-2      # "o(1)" proxy ceiling at n=200
+THEOREM3_GRID_SIDE = 21      # zeta grid points per side, theorem 3
+THEOREM4_GRID_SIDE = 7       # zeta grid points per side, theorem 4
 
 # The K_n contour: rays at arg = +-(pi/(2 rho) + KN_NU_MARGIN), cut at
 # |t| = KN_RAY_CUTOFF in units of R_n.  Read at call time.
@@ -140,13 +146,13 @@ def lemma4_logmag(z: complex, ctx: MLContext) -> tuple[float, float]:
     return lj1, lj2
 
 
-def _regime_of(z: complex, rho: float, delta2: float, delta3: float) -> str:
+def _regime_of(z: complex, rho: float) -> str:
     r = abs(z)
     phi = abs(cmath.phase(z))
     sector = math.pi / (2.0 * rho)
-    if phi >= sector + delta3:
+    if phi >= sector + REGION_DELTA3:
         return "exterior"
-    if phi <= sector and abs(z - 1.0) >= delta2:
+    if phi <= sector and abs(z - 1.0) >= REGION_DELTA2:
         if r > 1.0:
             return "outer_sector"
         if r < 1.0:
@@ -155,13 +161,13 @@ def _regime_of(z: complex, rho: float, delta2: float, delta3: float) -> str:
     raise RegimeError("z lies in none of the covered regimes")
 
 
-def theorem1_rhs(z: complex, ctx: MLContext,
-                 delta2: float = 0.2, delta3: float = 0.2) -> ScaledComplex:
-    """Leading right-hand side of the expansion in z's regime, o(1) factors = 1."""
+def theorem1_rhs(z: complex, ctx: MLContext) -> ScaledComplex:
+    """Leading right-hand side of the expansion in z's regime, o(1) factors = 1;
+    in the exterior regime the J2 term carries S (_algebraic_series)."""
     z = complex(z)
     if z == 0 or z == 1:
         raise RegimeError("z = 0 and z = 1 are excluded")
-    regime = _regime_of(z, ctx.rho, delta2, delta3)
+    regime = _regime_of(z, ctx.rho)
     j1, j2 = j_primes(z, ctx)
     pole = sc_from_complex(-z / (1.0 - z))
     if regime == "outer_sector":
@@ -171,16 +177,24 @@ def theorem1_rhs(z: complex, ctx: MLContext,
         coef = (1.0 - ctx.lam) * ctx.rho
         lead = sc_mul(sc_from_complex(coef), j1)
     else:
-        coef = (ctx.lam - 1.0) * rgamma(1.0 - 1.0 / ctx.rho)
+        coef = ((ctx.lam - 1.0) * rgamma(1.0 - 1.0 / ctx.rho)
+                * _algebraic_series(ctx.radius_value * z, ctx.rho))
         lead = sc_mul(sc_from_complex(coef), j2)
     return sc_add(lead, pole)
 
 
-def theorem1_check(z: complex, ctx: MLContext,
-                   delta2: float = 0.2, delta3: float = 0.2) -> float:
+def _algebraic_series(w, rho: float):
+    """S = 1 + sum_{k=2}^{floor(rho)+1} Gamma(1-1/rho) / (Gamma(1-k/rho)
+    w^{k-1}): the algebraic expansion of E relative to its first term, down
+    to order |w|^{-rho} (1/n at w = R_n z); w a scalar or an array."""
+    return 1.0 + sum(rgamma(1.0 - k / rho) / (rgamma(1.0 - 1.0 / rho) * w ** (k - 1))
+                     for k in range(2, math.floor(rho) + 2))
+
+
+def theorem1_check(z: complex, ctx: MLContext) -> float:
     """Relative deviation between the normalized combination and its regime
     formula; tends to 0 in n."""
-    rhs = theorem1_rhs(z, ctx, delta2, delta3)
+    rhs = theorem1_rhs(z, ctx)
     lhs = combo_normalized(z, ctx)
     diff = sc_sub(lhs, rhs)
     denom = max(lhs.log_mag, rhs.log_mag)
@@ -423,9 +437,7 @@ def theorem4_rhs(zeta, frame: ScalingFrame4, lam: complex, next_order: bool = Fa
         lead = (0.5 - 1.0 / rho) * math.log(n)
         b = lead + zt - 1j * frame.tau_n
         delta = (b * b / 2.0 - lead + rho / 12.0 - e1 - e2) / n
-        w = radius(n, rho) * z
-        series = 1.0 + sum(rgamma(1.0 - k / rho) / (rgamma(1.0 - 1.0 / rho) * w ** (k - 1))
-                           for k in range(2, math.floor(rho) + 2))
+        series = _algebraic_series(radius(n, rho) * z, rho)
     pole = -z / (1.0 - z) + z / (rho * n * (1.0 - z) ** 3)
     return _complex_like(zeta, coef * amp * np.exp(delta) * series + pole)
 
@@ -467,14 +479,12 @@ def _grid(radius_: float, side: int) -> np.ndarray:
 
 
 def suite_theorem1(rho: float = 2.0, lam: complex = 0.5,
-                   n_list: tuple[int, ...] = (50, 200),
-                   delta2: float = 0.2, delta3: float = 0.2) -> dict:
+                   n_list: tuple[int, ...] = (50, 200)) -> dict:
     devs = []
     ok = True
     for n in n_list:
         ctx = MLContext(rho=rho, n=n, lam=lam)
-        row = [theorem1_check(z, ctx, delta2, delta3)
-               for pts in _T1_POINTS.values() for z in pts]
+        row = [theorem1_check(z, ctx) for pts in _T1_POINTS.values() for z in pts]
         devs.append(row)
     for j in range(len(devs[0])):
         col = [devs[i][j] for i in range(len(n_list))]
@@ -484,14 +494,13 @@ def suite_theorem1(rho: float = 2.0, lam: complex = 0.5,
     if n_list[-1] >= 200 and max(devs[-1]) > THEOREM1_DEV_AT_200:
         ok = False
     return {"check_id": "theorem1", "params": {"rho": rho, "lam": _jlam(lam),
-            "delta2": delta2, "delta3": delta3},
+            "delta2": REGION_DELTA2, "delta3": REGION_DELTA3},
             "n_list": list(n_list),
             "metric_list": [max(row) for row in devs], "pass": ok}
 
 
 def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
-                   n_list: tuple[int, ...] = (50, 100), h: float = 0.2,
-                   delta2: float = 0.2, delta3: float = 0.2,
+                   n_list: tuple[int, ...] = (50, 100),
                    zero_sets: dict | None = None) -> dict:
     """No zero located in the acceptance window [-1.8, 1.8]^2 may fall in
     any of the five excluded regions.
@@ -499,8 +508,7 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
     zero_sets, if given, maps n -> ZeroSet and skips relocating.
     """
     window = Window(-1.8, 1.8, -1.8, 1.8)
-    specs = [RegionSpec(f"omega{i}", rho, h=h, delta2=delta2, delta3=delta3)
-             for i in range(1, 6)]
+    _check_region_rho(rho)  # before any zero is located
     violations = []
     for n in n_list:
         ctx = MLContext(rho=rho, n=n, lam=lam)
@@ -508,20 +516,19 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
         if zs is None:
             zs = locate_zeros(ctx, window)
         bad = sum(1 for rec in zs.records
-                  for spec in specs if region_contains(rec.location, spec))
+                  for region in REGIONS if region_contains(rec.location, region, rho))
         violations.append(bad)
     return {"check_id": "theorem2", "params": {"rho": rho, "lam": _jlam(lam),
-            "h": h, "delta2": delta2, "delta3": delta3,
+            "h": REGION_H, "delta2": REGION_DELTA2, "delta3": REGION_DELTA3,
             "window": [window.re_min, window.re_max, window.im_min, window.im_max]},
             "n_list": list(n_list), "metric_list": violations,
             "pass": all(v == 0 for v in violations)}
 
 
 def suite_theorem3(rho: float = 2.0, lam: complex = 0.0,
-                   n_list: tuple[int, ...] = (50, 100, 200),
-                   grid_side: int = 21) -> dict:
+                   n_list: tuple[int, ...] = (50, 100, 200)) -> dict:
     # zeta = 0 (z = 1) rides last in each grid for the centre check at lam = 0
-    zetas = np.append(_grid(2.0, grid_side), 0.0)
+    zetas = np.append(_grid(2.0, THEOREM3_GRID_SIDE), 0.0)
     sups = []
     for n in n_list:
         lhs, rhs = theorem3_pair(zetas, MLContext(rho=rho, n=n, lam=lam))
@@ -530,7 +537,7 @@ def suite_theorem3(rho: float = 2.0, lam: complex = 0.0,
     if lam == 0 and n_list[-1] >= 200 and abs(lhs[-1] - 0.5) > THEOREM3_DEV_AT_200:
         ok = False
     return {"check_id": "theorem3", "params": {"rho": rho, "lam": _jlam(lam),
-            "grid_side": grid_side}, "n_list": list(n_list),
+            "grid_side": THEOREM3_GRID_SIDE}, "n_list": list(n_list),
             "metric_list": sups, "pass": ok}
 
 
@@ -547,7 +554,7 @@ def theorem4_frames(rho: float, n: int) -> list[ScalingFrame4]:
 
 
 def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
-                   n_list: tuple[int, ...] = (75, 300), grid_side: int = 7) -> dict:
+                   n_list: tuple[int, ...] = (75, 300)) -> dict:
     """Local limits at the three curve frames, per (lam, frame).
 
     The exact lhs is evaluated as one array per grid and compared with both
@@ -559,7 +566,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
     metric_list holds the next-order sups at n_list[-1] and
     metric_list_leading the leading-order ones.
     """
-    zetas = _grid(1.5, grid_side)
+    zetas = _grid(1.5, THEOREM4_GRID_SIDE)
     frames = [theorem4_frames(rho, n) for n in n_list]
     metrics = []
     metrics_leading = []
@@ -586,7 +593,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
             metrics.append(sups[-1])
             metrics_leading.append(sups_leading[-1])
     return {"check_id": "theorem4", "params": {"rho": rho,
-            "lam_list": [_jlam(l) for l in lam_list], "grid_side": grid_side},
+            "lam_list": [_jlam(l) for l in lam_list], "grid_side": THEOREM4_GRID_SIDE},
             "n_list": list(n_list), "metric_list": metrics,
             "metric_list_leading": metrics_leading, "pass": ok}
 
@@ -604,20 +611,17 @@ def suite_kn(rho: float = 2.0, n_list: tuple[int, ...] = (20, 80)) -> dict:
             "metric_list": [max(row) for row in devs], "pass": ok}
 
 
-def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200),
-                 h: float = 0.2, delta2: float = 0.2, delta3: float = 0.2) -> dict:
-    specs = {k: RegionSpec(k, rho, h=h, delta2=delta2, delta3=delta3)
-             for k in _OMEGA_SAMPLES}
-    for k, spec in specs.items():  # the samples lie in their regions at rho = 2
-        for z in _OMEGA_SAMPLES[k]:
-            if not region_contains(z, spec):
+def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200)) -> dict:
+    for k, pts in _OMEGA_SAMPLES.items():  # the samples lie in their regions at rho = 2
+        for z in pts:
+            if not region_contains(z, k, rho):
                 raise RegimeError(f"sample {z} lies outside {k} at rho = {rho}")
     ok = True
     metrics = []
     for n in n_list:
         ctx = MLContext(rho=rho, n=n, lam=0.5)
         floor1 = math.log(LEMMA4_C1) + 0.5 * math.log(n / rho)
-        growth4 = n * math.log1p(h * math.exp(1.0 / rho) / 2.0)
+        growth4 = n * math.log1p(REGION_H * math.exp(1.0 / rho) / 2.0)
         worst = -math.inf
         for k, pts in _OMEGA_SAMPLES.items():
             for z in pts:
@@ -640,7 +644,7 @@ def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200),
     lj1, _ = lemma4_logmag(z, ctx)
     if abs(j1.log_mag - lj1) > 0.01 * abs(j1.log_mag):
         ok = False
-    return {"check_id": "lemma4", "params": {"rho": rho, "h": h, "C1": LEMMA4_C1},
+    return {"check_id": "lemma4", "params": {"rho": rho, "h": REGION_H, "C1": LEMMA4_C1},
             "n_list": list(n_list), "metric_list": metrics, "pass": ok}
 
 

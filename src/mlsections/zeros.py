@@ -58,6 +58,7 @@ MIN_CELL_DIAMETER = 1e-6
 PHASE_STEP_LIMIT = math.pi / 2.0
 MAX_REFINE_DEPTH = 48  # halvings of one boundary segment before its rectangle fails
 NEWTON_MAX_ITER = 30
+WINDOW_JITTERS = 5  # jittered retries of a window boundary that stalls
 
 
 class BoundaryZeroError(RuntimeError):
@@ -222,25 +223,6 @@ def winding_number(ctx: MLContext, rectangle: Window) -> int:
     return w
 
 
-def _windings_with_jitter(ctx: MLContext, rects: list[Window], retries: int) -> list[tuple]:
-    """(winding number, rectangle it was taken on, first moment) per rectangle,
-    with the documented deterministic jitter on stalls; None where every
-    attempt stalled."""
-    out: list[tuple[int | None, Window, complex]] = [(None, r, math.nan) for r in rects]
-    for attempt in range(retries + 1):
-        todo = [i for i, (w, _r, _m) in enumerate(out) if w is None]
-        if not todo:
-            break
-        cur = [rects[i] for i in todo]
-        if attempt:
-            cur = [Window(r.re_min - e, r.re_max + e * 1.3, r.im_min - e * 0.7, r.im_max + e * 1.1)
-                   for r in cur for e in [1e-7 * r.diameter * attempt]]
-        counts, moments = _contour_integrals(ctx, cur)
-        for i, w, rect, m in zip(todo, counts, cur, moments.tolist()):
-            out[i] = (w, rect, m)
-    return out
-
-
 def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on the scaled evaluation, from each start in zs.
@@ -304,9 +286,11 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
     cert = np.zeros(zs.size, dtype=bool)
     todo = np.arange(zs.size)
     for _ in range(5):
+        if not todo.size:
+            break
         boxes = [Window(z.real - h, z.real + h, z.imag - h, z.imag + h)
                  for z, h in zip(zs[todo].tolist(), side[todo].tolist())]
-        counts = [w for w, _box, _m in _windings_with_jitter(ctx, boxes, retries=1)]
+        counts, _moments = _contour_integrals(ctx, boxes)
         stalled = np.array([w is None for w in counts], dtype=bool)
         cert[todo[~stalled]] = [w == 1 for w in counts if w is not None]
         todo = todo[stalled]
@@ -439,9 +423,18 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     masked = ctx.n + 1 if ctx.lam == 1 and window.contains(0.0) else 0
     records: list[ZeroRecord] = []
 
-    ((total, root_win, root_moment),) = _windings_with_jitter(ctx, [window], retries=5)
-    if total is None:
+    root_win = window
+    for attempt in range(WINDOW_JITTERS + 1):
+        if attempt:  # deterministic jitter of a boundary that stalled
+            e = 1e-7 * window.diameter * attempt
+            root_win = Window(window.re_min - e, window.re_max + e * 1.3,
+                              window.im_min - e * 0.7, window.im_max + e * 1.1)
+        (total,), moments = _contour_integrals(ctx, [root_win])
+        if total is not None:
+            break
+    else:
         raise BoundaryZeroError("window boundary stalled on a zero after every jitter")
+    (root_moment,) = moments.tolist()
 
     def polish(cells: list[Window], moments: list[complex]) -> np.ndarray:
         """Polish winding-1 cells from their moments as one batch, and

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from mlsections.curves import RegionSpec, region_contains, szego_curve
+from mlsections.curves import szego_curve
 from mlsections.mitlef import (
     MLContext,
     combo,

@@ -185,6 +185,41 @@ def test_verify_rejects_foreign_flag(capsys):
     code, _, err = run(["verify", "lemma1", "--n", "10,20"], capsys)
     assert code == 2
     assert "does not take" in err
+    # the region margins and grid sides are constants, not flags; --h must
+    # not be read as an abbreviation of --help
+    for flag in ("--h", "--delta2", "--delta3", "--grid-side"):
+        code, _, err = run(["verify", "theorem1", flag, "0.1"], capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+
+def test_verify_theorem1_passes_at_rho3(capsys):
+    # the exterior term carries E's next algebraic term, of order n^{-1/3} here
+    code, out, _ = run(["verify", "theorem1", "--rho", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["metric_list"][-1] < 0.05
+
+
+def test_verify_theorem2_locates_its_own_zeros(capsys):
+    code, out, _ = run(["verify", "theorem2", "--rho", "2", "--n", "20,25"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["metric_list"] == [0, 0]
+    assert [rep["params"][k] for k in ("h", "delta2", "delta3")] == [0.2, 0.2, 0.2]
+
+
+@pytest.mark.parametrize("suite", ["theorem2", "lemma4"])
+def test_verify_regions_reject_rho_before_locating(capsys, monkeypatch, suite):
+    # delta3 = 0.2 needs pi/(2 rho) > 0.2, so the regions stop short of rho = 8
+    import mlsections.verify as verify
+
+    def never(*a, **k):
+        raise AssertionError("located zeros for a rho the regions reject")
+
+    monkeypatch.setattr(verify, "locate_zeros", never)
+    code, _, err = run(["verify", suite, "--rho", "8"], capsys)
+    assert code == 2
+    assert "pi/(2 delta3)" in err
 
 
 # ----------------------------------------------------------------- plot

@@ -11,9 +11,9 @@ import pytest
 
 import mlsections
 from mlsections.curves import (
+    REGIONS,
     RESIDUAL_TOL,
     BracketError,
-    RegionSpec,
     SzegoBranch,
     asymptote_distance,
     classic_szego_indicator,
@@ -201,34 +201,29 @@ def test_szego_curve_structure():
 
 # --------------------------------------------------------------- regions
 
-def _spec(region, rho=2.0):
-    return RegionSpec(region_id=region, rho=rho)
-
-
 def test_region_examples():
-    assert region_contains(2.0, _spec("omega5"))
-    assert region_contains(0.1 * cmath.exp(1j * math.pi), _spec("omega4"))
+    assert region_contains(2.0, "omega5", 2.0)
+    assert region_contains(0.1 * cmath.exp(1j * math.pi), "omega4", 2.0)
     # z = 1 sits on the curve and inside the delta2 disk: in no region
-    for region in ("omega1", "omega2", "omega3", "omega4", "omega5"):
-        assert not region_contains(1.0, _spec(region))
+    for region in REGIONS:
+        assert not region_contains(1.0, region, 2.0)
     with pytest.raises(ValueError):
-        region_contains(0.0, _spec("omega1"))
+        region_contains(0.0, "omega1", 2.0)
     with pytest.raises(ValueError):
-        RegionSpec(region_id="omega9", rho=2.0)
+        region_contains(0.5, "omega9", 2.0)
+    # delta3 = 0.2 leaves no sector margin once pi/(2 rho) <= 0.2
     with pytest.raises(ValueError):
-        RegionSpec(region_id="omega1", rho=2.0, delta3=1.0)
+        region_contains(0.5, "omega1", 8.0)
 
 
 def test_region_disjoint_pairs():
     rng = np.random.default_rng(1)
-    o2, o5 = _spec("omega2"), _spec("omega5")
-    o3, o4 = _spec("omega3"), _spec("omega4")
     for _ in range(400):
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if z == 0:
             continue
-        assert not (region_contains(z, o2) and region_contains(z, o5))
-        assert not (region_contains(z, o3) and region_contains(z, o4))
+        assert not (region_contains(z, "omega2", 2.0) and region_contains(z, "omega5", 2.0))
+        assert not (region_contains(z, "omega3", 2.0) and region_contains(z, "omega4", 2.0))
 
 
 def test_region_membership_matches_definitions():
@@ -236,13 +231,13 @@ def test_region_membership_matches_definitions():
     # interior of S(rho) near the origin direction: u large positive
     z = 0.5 * cmath.exp(1j * 0.1)
     assert phase_u(z, rho) > 0.2
-    assert region_contains(z, _spec("omega1"))
+    assert region_contains(z, "omega1", rho)
     # just outside the curve within the sector: u <= -h
     z2 = 0.99 * cmath.exp(1j * 0.5)
     assert phase_u(z2, rho) <= -0.2
-    assert region_contains(z2, _spec("omega2"))
+    assert region_contains(z2, "omega2", rho)
     # large radius outside the sector
-    assert region_contains(2.0 * cmath.exp(2.0j), _spec("omega3"))
+    assert region_contains(2.0 * cmath.exp(2.0j), "omega3", rho)
 
 
 # ------------------------------------------------- asymptote geometry

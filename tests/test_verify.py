@@ -101,6 +101,9 @@ def test_theorem1_regime_errors():
     with pytest.raises(RegimeError):
         # inside the delta2 disk around 1: no regime applies
         theorem1_check(1.05, ctx)
+    with pytest.raises(RegimeError, match="straddles"):
+        # on |z| = 1 in the sector, between the inner and outer regimes
+        theorem1_check(cmath.exp(0.3j), ctx)
 
 
 def test_theorem1_check_shrinks():
@@ -294,6 +297,6 @@ def test_suite_reports_shape():
     rep = suite_theorem1(n_list=(50, 100))
     assert rep["pass"] is True
 
-    rep = suite_theorem3(n_list=(50, 100), grid_side=7)
+    rep = suite_theorem3(n_list=(50, 100))
     assert rep["pass"] is True
     assert rep["metric_list"][1] < rep["metric_list"][0]
