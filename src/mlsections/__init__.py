@@ -14,21 +14,14 @@ from .scaled import (
     sc_from_complex,
     sc_to_complex,
     sc_mul,
-    sc_div,
     sc_add,
     sc_sub,
-    sc_neg,
-    sc_exp,
 )
-from .specfun import ln_gamma, erf, erfc
+from .specfun import ln_gamma, erfc
 from .mitlef import (
     MLContext,
-    MaxTermInfo,
     radius,
-    radius_asymptotic,
-    max_term,
     ml_series,
-    ml_mu,
     ml_asymptotic,
     section,
     tail,
@@ -47,7 +40,6 @@ from .curves import (
     t_curve_r,
     region_contains,
     asymptote_distance,
-    classic_szego_indicator,
 )
 from .zeros import (
     Window,

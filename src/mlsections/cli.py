@@ -7,6 +7,7 @@ check failed, 2 invalid parameters or malformed input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import inspect
@@ -35,13 +36,27 @@ def _num(x: float) -> str:
     return format(float(x), _FMT)
 
 
+def finite_float(text: str) -> float:
+    """Parse a float that is neither infinite nor NaN."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"number must be finite, got {text!r}")
+    return x
+
+
 def parse_lambda(text: str) -> complex:
-    """Parse 'a', 'a+bi' or 'a-bi' into a complex number."""
+    """Parse 'a', 'a+bi' or 'a-bi' into a finite complex number."""
     s = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(s)
+        lam = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse lambda {text!r}")
+    if not cmath.isfinite(lam):
+        raise argparse.ArgumentTypeError(f"lambda must be finite, got {text!r}")
+    return lam
 
 
 def parse_window(text: str) -> Window:
@@ -50,7 +65,7 @@ def parse_window(text: str) -> Window:
         raise argparse.ArgumentTypeError(
             "window must be re_min,re_max,im_min,im_max")
     try:
-        a, b, c, d = (float(p) for p in parts)
+        a, b, c, d = (finite_float(p) for p in parts)
         return Window(a, b, c, d)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
@@ -64,10 +79,7 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}")
+    return tuple(finite_float(p) for p in text.split(","))
 
 
 # --------------------------------------------------------------------------
@@ -149,10 +161,6 @@ def zero_set_to_json(records, header: dict) -> str:
         ],
     }
     return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def read_zeros_json(path) -> dict:
-    return json.load(path)
 
 
 def cmd_zeros(args) -> int:
@@ -270,7 +278,7 @@ def cmd_plot(args) -> int:
     for path in args.zeros or []:
         try:
             with open(path) as f:
-                data = read_zeros_json(f)
+                data = json.load(f)
             records = data["records"]
         except (OSError, KeyError, ValueError) as exc:
             print(f"malformed zeros file {path}: {exc}", file=sys.stderr)
@@ -310,24 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("curve", help="sample a curve to CSV")
-    pc.add_argument("--rho", type=float, default=2.0)
+    pc.add_argument("--rho", type=finite_float, default=2.0)
     pc.add_argument("--which", choices=["szego", "t", "sh"], default="szego")
     pc.add_argument("--samples", type=int, default=256,
                     help="points per branch")
-    pc.add_argument("--h", type=float, default=0.2,
+    pc.add_argument("--h", type=finite_float, default=0.2,
                     help="level parameter for --which sh")
-    pc.add_argument("--r-max", type=float, default=10.0, dest="r_max")
+    pc.add_argument("--r-max", type=finite_float, default=10.0, dest="r_max")
     pc.add_argument("--out", default="-")
     pc.set_defaults(func=cmd_curve)
 
     pz = sub.add_parser("zeros", help="locate zeros in a window to JSON")
-    pz.add_argument("--rho", type=float, default=2.0)
+    pz.add_argument("--rho", type=finite_float, default=2.0)
     pz.add_argument("--n", type=int, required=True)
     pz.add_argument("--lambda", type=parse_lambda, default=0.0, dest="lam")
     pz.add_argument("--window", type=parse_window,
                     default=Window(-1.8, 1.8, -1.8, 1.8))
-    pz.add_argument("--tol", type=float, default=1e-10)
-    pz.add_argument("--strip-width", type=float, default=None,
+    pz.add_argument("--tol", type=finite_float, default=1e-10)
+    pz.add_argument("--strip-width", type=finite_float, default=None,
                     dest="strip_width")
     pz.add_argument("--out", default="-")
     pz.set_defaults(func=cmd_zeros)
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a retired flag such as --h must not read as --help
     pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     pv.add_argument("suite", choices=sorted(SUITES))
-    pv.add_argument("--rho", type=float, default=2.0)
+    pv.add_argument("--rho", type=finite_float, default=2.0)
     pv.add_argument("--lambda", type=parse_lambda, default=None, dest="lam")
     pv.add_argument("--n", type=parse_int_list, default=None, dest="n_list")
     pv.add_argument("--r", type=parse_float_list, default=None, dest="r_list")

@@ -26,7 +26,6 @@ __all__ = [
     "phase_u",
     "szego_sigma",
     "szego_curve",
-    "classic_szego_indicator",
     "t_curve_r",
     "s_h_level_r",
     "region_contains",
@@ -178,12 +177,6 @@ def szego_curve(rho: float, samples_per_branch: int, r_max: float = 10.0) -> lis
         rs = szego_sigma(phis, rho, branch)
         pts += [CurvePoint(p, r, branch) for p, r in zip(phis.tolist(), rs.tolist())]
     return pts
-
-
-def classic_szego_indicator(z: complex) -> float:
-    """|z e^{1-z}|; the classical curve for e^z is the level set = 1."""
-    z = complex(z)
-    return abs(z) * math.exp(1.0 - z.real)
 
 
 def t_curve_r(phi, rho: float):

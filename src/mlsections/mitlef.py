@@ -39,16 +39,12 @@ from .scaled import SC_ZERO, ScaledComplex, _wrap_phase, sc_add, sc_from_complex
 from .specfun import ln_gamma, ln_gamma_arr, rgamma
 
 __all__ = [
-    "MaxTermInfo",
     "MLContext",
     "TruncationError",
     "CancellationWarning",
     "radius",
-    "radius_asymptotic",
-    "max_term",
     "ml_series",
     "ml_asymptotic",
-    "ml_mu",
     "section",
     "tail",
     "combo",
@@ -74,12 +70,6 @@ TAIL_MARGIN = 64
 
 
 @dataclass(frozen=True)
-class MaxTermInfo:
-    mu_log: float
-    nu: int
-
-
-@dataclass(frozen=True)
 class MLContext:
     """Parameter bundle (rho, n, lam).
 
@@ -92,11 +82,13 @@ class MLContext:
     lam: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if not self.rho >= 1.0:
-            raise ValueError("rho must be >= 1")
+        if not 1.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 1, got {self.rho!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1 (R_0 is undefined)")
         object.__setattr__(self, "lam", complex(self.lam))
+        if not cmath.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
 
     @property
     def radius_value(self) -> float:
@@ -126,32 +118,20 @@ def radius(n: int, rho: float) -> float:
     return math.exp(ln_gamma(1.0 + n / rho) - ln_gamma(1.0 + (n - 1) / rho))
 
 
-def radius_asymptotic(n: int, rho: float) -> float:
-    """Two-term Stirling expansion (n/rho)^(1/rho) (1 + (rho-1)/(2 rho n))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    return (n / rho) ** (1.0 / rho) * (1.0 + (rho - 1.0) / (2.0 * rho * n))
-
-
 # --- series terms -----------------------------------------------------------
 
 
 def _log_terms(logw: np.ndarray, k0: int, k1: int, rho: float,
-               deriv: bool = False, mu: float = 1.0) -> np.ndarray:
+               deriv: bool = False) -> np.ndarray:
     """Logs of the series terms k0 <= k < k1, one row per entry of logw.
 
-    Row i holds k log w_i - ln Gamma(mu + k/rho), or with deriv the terms of
+    Row i holds k log w_i - ln Gamma(1 + k/rho), or with deriv the terms of
     the w-derivative, (k - 1) log w_i + log k - ln Gamma(1 + k/rho).  A real
     logw (log|w|) gives log-magnitudes, a complex one (log|w| + i arg w)
     complex logs.
     """
     k = np.arange(k0, k1, dtype=float)
-    if mu == 1.0:
-        logc = -_lgamma_table(rho, k1)[k0:k1]
-    else:
-        logc = -ln_gamma_arr(mu + k / rho)
+    logc = -_lgamma_table(rho, k1)[k0:k1]
     if deriv:
         with np.errstate(divide="ignore"):
             logc = logc + np.log(k)
@@ -178,12 +158,12 @@ def _norm_sum(logt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, nu, logt.sum(axis=1)
 
 
-def _peak_and_cutoff(lr: float, rho: float, mu: float = 1.0) -> tuple[float, int, int]:
+def _peak_and_cutoff(lr: float, rho: float) -> tuple[float, int, int]:
     """Peak value, its index, and the truncation index of the terms at |w| = e^lr.
 
     The cutoff is the first index past the peak whose term is below REL_TOL
     of the peak, plus TAIL_MARGIN.  The log-terms
-    t_k = k lr - ln Gamma(mu + k/rho) are concave in k (ln Gamma is convex),
+    t_k = k lr - ln Gamma(1 + k/rho) are concave in k (ln Gamma is convex),
     so once a term past the scanned maximum is lower than it, the maximum is
     the peak of the whole sequence and every later term is lower still: the
     first term below tolerance past the peak ends the scan, in whichever
@@ -205,7 +185,7 @@ def _peak_and_cutoff(lr: float, rho: float, mu: float = 1.0) -> tuple[float, int
     nu = 0
     k0 = 0
     while True:
-        logt = _log_terms(row, k0, hi, rho, mu=mu)[0]
+        logt = _log_terms(row, k0, hi, rho)[0]
         m = float(logt.max())
         if m >= best:
             # >= prefers the larger index on an exact tie
@@ -230,31 +210,10 @@ def _first_scan_end(lr: float, rho: float) -> int:
                MAX_TERMS + 1)
 
 
-def max_term(r: float, rho: float) -> MaxTermInfo:
-    """Maximal term and central index of E at radius r."""
-    if not r > 0.0:
-        raise ValueError("r must be > 0")
-    mu_log, nu, _kcut = _peak_and_cutoff(math.log(r), rho)
-    return MaxTermInfo(mu_log=mu_log, nu=nu)
-
-
 def ml_series(z: complex, rho: float) -> ScaledComplex:
     """E(z) from its power series, or from the asymptotic expansion where
     the series cancels below its rounding floor."""
     return _kernel_at(z, 0, rho, 0.0, 1.0)[0]
-
-
-def ml_mu(z: complex, rho: float, mu: float) -> ScaledComplex:
-    """Two-parameter function sum_k z^k / Gamma(mu + k/rho), mu >= 1."""
-    if mu < 1.0:
-        raise ValueError("mu must be >= 1")
-    z = complex(z)
-    if z == 0:
-        return ScaledComplex(-ln_gamma(mu), 0.0)
-    _peak, _nu, kcut = _peak_and_cutoff(math.log(abs(z)), rho, mu=mu)
-    m, _nu, s = _norm_sum(_log_terms(np.log([z]), 0, kcut + 1, rho, mu=mu))
-    log_mag, phase = _log_polar(s, m)
-    return _scaled(float(log_mag[0]), float(phase[0]))
 
 
 ASYMPTOTIC_FLOOR = 5.0  # empirical validity floor for the (2.2)-style expansion

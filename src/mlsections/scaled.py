@@ -19,12 +19,8 @@ __all__ = [
     "sc_from_complex",
     "sc_to_complex",
     "sc_mul",
-    "sc_div",
     "sc_add",
     "sc_sub",
-    "sc_neg",
-    "sc_abs_log",
-    "sc_exp",
 ]
 
 # Largest log-magnitude that still converts to a finite double.
@@ -96,20 +92,6 @@ def sc_mul(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
     return ScaledComplex(a.log_mag + b.log_mag, _wrap_phase(a.phase + b.phase))
 
 
-def sc_div(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
-    if b.is_zero:
-        raise ZeroDivisionError("division by scaled zero")
-    if a.is_zero:
-        return SC_ZERO
-    return ScaledComplex(a.log_mag - b.log_mag, _wrap_phase(a.phase - b.phase))
-
-
-def sc_neg(a: ScaledComplex) -> ScaledComplex:
-    if a.is_zero:
-        return SC_ZERO
-    return ScaledComplex(a.log_mag, _wrap_phase(a.phase + math.pi))
-
-
 def sc_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
     """Add by rescaling both mantissas to the larger log magnitude.
 
@@ -132,15 +114,5 @@ def sc_add(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
 
 
 def sc_sub(a: ScaledComplex, b: ScaledComplex) -> ScaledComplex:
-    return sc_add(a, sc_neg(b))
-
-
-def sc_abs_log(a: ScaledComplex) -> float:
-    """Natural log of |a| (-inf for the zero state)."""
-    return a.log_mag
-
-
-def sc_exp(w: complex) -> ScaledComplex:
-    """exp(w) for arbitrarily large Re(w), as a scaled value."""
-    w = complex(w)
-    return ScaledComplex(w.real, _wrap_phase(w.imag))
+    # -b keeps log_mag = -inf, so a negated zero is still the zero state
+    return sc_add(a, ScaledComplex(b.log_mag, _wrap_phase(b.phase + math.pi)))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ln_gamma", "ln_gamma_arr", "rgamma", "erf", "erfc"]
+__all__ = ["ln_gamma", "ln_gamma_arr", "rgamma", "erfc"]
 
 
 def ln_gamma(x: float) -> float:
@@ -39,8 +39,3 @@ def erfc(zeta):
     from scipy import special
     val = special.erfc(np.asarray(zeta, dtype=complex))
     return complex(val) if val.ndim == 0 else val
-
-
-def erf(zeta):
-    """Error function, erf(z) = 1 - erfc(z)."""
-    return 1.0 - erfc(zeta)

@@ -386,8 +386,8 @@ def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
 
 def _check_tol(tol: float) -> None:
     """The domain check shared by both locators."""
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    if not 1e-12 <= tol < math.inf:
+        raise ValueError(f"tol must be >= 1e-12 and finite, got {tol!r}")
 
 
 def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:

@@ -11,7 +11,6 @@ from mlsections.cli import (
     parse_lambda,
     parse_window,
     read_curve_csv,
-    read_zeros_json,
     write_curve_csv,
 )
 from mlsections.curves import phase_u, szego_curve
@@ -103,7 +102,7 @@ def test_zeros_lambda_roundtrip_in_header(capsys):
                         "--lambda", "0.5+0.0i",
                         "--window", "-1.5,1.5,-1.5,1.5"], capsys)
     assert code == 0
-    data = read_zeros_json(io.StringIO(out))
+    data = json.loads(out)
     assert data["header"]["lambda_re"] == 0.5
     assert data["header"]["lambda_im"] == 0.0
     assert data["header"]["window"] == [-1.5, 1.5, -1.5, 1.5]
@@ -117,6 +116,17 @@ def test_zeros_strip_width(capsys):
     data = json.loads(out)
     assert len(data["records"]) == 12  # kept + filtered, nothing dropped
     assert any(r["near_asymptote"] for r in data["records"])
+
+
+def test_zeros_flags_uncertified_records(capsys, monkeypatch):
+    import mlsections.zeros as zeros
+    monkeypatch.setattr(zeros, "MIN_CELL_DIAMETER", 10.0)  # no cell is split
+    with pytest.warns(zeros.ClusterWarning):
+        code, out, _ = run(["zeros", "--n", "20", "--lambda", "0.5"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["header"]["warnings"] == ["uncertified records present"]
+    assert [r["certified"] for r in data["records"]] == [False]
 
 
 def test_zeros_lambda0_passes_tol(capsys, monkeypatch):
@@ -276,6 +286,23 @@ def test_exit_code_invalid_parameters(capsys):
                             "--window", "-1,1,-1,1", "--tol", "1e-14"], capsys)
         assert code == 2
         assert "tol must be >= 1e-12" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--lambda", "nan"],
+    ["verify", "lemma1", "--r", "nan,10"],
+    ["curve", "--rho", "inf"],
+    ["curve", "--which", "sh", "--h", "nan"],
+    ["curve", "--r-max", "nan"],
+    ["zeros", "--n", "5", "--strip-width", "nan"],
+    ["zeros", "--n", "5", "--tol", "nan"],
+    ["zeros", "--n", "5", "--tol", "inf"],
+], ids="-".join)
+def test_exit_code_non_finite_number(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "must be finite" in err
+    assert out == ""
 
 
 def test_exit_code_numeric_failure(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from mlsections.curves import (
     BracketError,
     SzegoBranch,
     asymptote_distance,
-    classic_szego_indicator,
     phase_u,
     region_contains,
     s_h_level_r,
@@ -99,11 +98,6 @@ def test_szego_sigma_residuals_and_ordering():
         assert np.array_equal(rs, [szego_sigma(p, rho, branch) for p in phis])
         for phi, r in zip(phis, rs):
             assert abs(phase_u(r * cmath.exp(1j * phi), rho)) < RESIDUAL_TOL
-
-
-def test_classic_szego_indicator():
-    assert classic_szego_indicator(1.0) == pytest.approx(1.0)
-    assert classic_szego_indicator(0.5) == pytest.approx(0.5 * math.e**0.5)
 
 
 # ------------------------------------------------------------- t-curve
@@ -290,7 +284,6 @@ def test_import_loads_scipy_only_for_erfc():
             "mlsections.combo(0.5 + 0.2j, ctx)\n"
             "mlsections.tail(0.5, ctx)\n"
             "mlsections.ml_series(2.0 + 1.0j, 2.0)\n"
-            "mlsections.ml_mu(1.5, 2.0, 1.5)\n"
             "mlsections.ml_asymptotic(6.0 + 1.0j, 2.0)\n"
             "mlsections.locate_zeros(ctx, Window(-1.8, 1.8, -1.8, 1.8))\n"
             "mlsections.poly_zeros(MLContext(rho=2.0, n=20, lam=0.0))\n"

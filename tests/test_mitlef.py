@@ -6,6 +6,7 @@ import math
 import os
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,17 +22,14 @@ from mlsections.mitlef import (
     combo_batch,
     combo_derivative,
     combo_normalized,
-    max_term,
     ml_asymptotic,
-    ml_mu,
     ml_series,
     radius,
-    radius_asymptotic,
     section,
     tail,
 )
 from mlsections.scaled import ScaledComplex, sc_sub, sc_to_complex
-from mlsections.specfun import erf, ln_gamma
+from mlsections.specfun import ln_gamma
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "series_asym.json")
 
@@ -53,15 +51,14 @@ def test_radius_values():
 
 
 def test_radius_asymptotic_expansion():
-    assert radius_asymptotic(100, 2.0) == pytest.approx(
-        math.sqrt(50.0) * (1.0 + 1.0 / 400.0), rel=1e-14)
-    assert radius_asymptotic(1, 2.0) == pytest.approx(
-        math.sqrt(0.5) * 1.25, rel=1e-14)
-    assert abs(radius(100, 2.0) - radius_asymptotic(100, 2.0)) \
-        / radius(100, 2.0) < 1e-4
+    def stirling(n, rho):
+        """Two-term Stirling expansion (n/rho)^(1/rho) (1 + (rho-1)/(2 rho n))."""
+        return (n / rho) ** (1.0 / rho) * (1.0 + (rho - 1.0) / (2.0 * rho * n))
+
+    assert abs(radius(100, 2.0) - stirling(100, 2.0)) / radius(100, 2.0) < 1e-4
     # residual is O(1/n^2)
-    r3 = abs(radius(1000, 2.0) / radius_asymptotic(1000, 2.0) - 1.0)
-    r4 = abs(radius(10000, 2.0) / radius_asymptotic(10000, 2.0) - 1.0)
+    r3 = abs(radius(1000, 2.0) / stirling(1000, 2.0) - 1.0)
+    r4 = abs(radius(10000, 2.0) / stirling(10000, 2.0) - 1.0)
     assert r4 < r3 / 50.0
 
 
@@ -77,17 +74,17 @@ def test_central_index_jumps(rho):
     for n in range(1, 51):
         rn = radius(n, rho)
         eps = 1e-9 * rn
-        assert max_term(rn + eps, rho).nu == n
-        assert max_term(rn - eps, rho).nu == n - 1
+        assert _peak_and_cutoff(math.log(rn + eps), rho)[1] == n
+        assert _peak_and_cutoff(math.log(rn - eps), rho)[1] == n - 1
 
 
 def test_max_term_small_r():
-    assert max_term(1e-12, 2.0).nu == 0
+    assert _peak_and_cutoff(math.log(1e-12), 2.0)[1] == 0
 
 
-def _brute_cutoff(lr, rho, mu=1.0):
+def _brute_cutoff(lr, rho):
     """Peak, its last index and the cutoff, from one long row of log-terms."""
-    t = _log_terms(np.array([lr]), 0, 20_000, rho, mu=mu)[0]
+    t = _log_terms(np.array([lr]), 0, 20_000, rho)[0]
     nu = int(np.flatnonzero(t == t.max())[-1])
     first = nu + 1 + int(np.argmax(t[nu + 1:] < t[nu] + math.log(mitlef.REL_TOL)))
     assert first < len(t) - 1
@@ -102,10 +99,9 @@ _CUTOFF_CASES = [(rho, end) for end in (None, 1, 8, 33) for rho in (1.5, 2.0, 4.
 def test_cutoff_matches_brute_force(rho, first_end, monkeypatch):
     if first_end is not None:  # a first chunk that falls short: the scan doubles it
         monkeypatch.setattr(mitlef, "_first_scan_end", lambda lr, rho: first_end)
-    for mu in (1.0, 1.7, 3.0):
-        # log r from -3 up to a central index of ~10^4
-        for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
-            assert _peak_and_cutoff(lr, rho, mu) == _brute_cutoff(lr, rho, mu)
+    # log r from -3 up to a central index of ~10^4
+    for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
+        assert _peak_and_cutoff(lr, rho) == _brute_cutoff(lr, rho)
     for n in range(1, 60):
         # exactly at a jump radius the larger index wins a tie
         lr = math.log(radius(n, rho))
@@ -130,7 +126,7 @@ def test_truncation_budget(monkeypatch):
     kcut = _peak_and_cutoff(lr, 2.0)[2]
     # the peak itself lies past the budget (central index ~ 6.5e5)
     with pytest.raises(TruncationError):
-        max_term(20.0, 4.0)
+        _peak_and_cutoff(math.log(20.0), 4.0)
     full = {w: ml_series(w, 2.0) for w in (7.0, -7.0, 7.0j)}
     monkeypatch.setattr(mitlef, "MAX_TERMS", kcut)
     assert _peak_and_cutoff(lr, 2.0)[2] == kcut
@@ -139,9 +135,7 @@ def test_truncation_budget(monkeypatch):
         _peak_and_cutoff(lr, 2.0)
     monkeypatch.setattr(mitlef, "MAX_TERMS", 16)
     with pytest.raises(TruncationError):
-        max_term(1.0, 2.0)
-    with pytest.raises(TruncationError):
-        ml_mu(0.5, 2.0, 1.5)
+        _peak_and_cutoff(0.0, 2.0)
     # past the budget the asymptotic form serves where e^{-|w|^rho} is below
     # REL_TOL (|w| = 7: central index 98 > 40), and only there (|w| = 5:
     # central index 50 > 40, but e^{-25} is above REL_TOL)
@@ -174,29 +168,40 @@ def test_series_exponential_oracle():
 def test_series_erf_identity():
     for x in np.linspace(-3.0, 5.0, 81):
         got = ml_series(complex(x), 2.0)
-        expected = cmath.exp(x * x) * (1.0 + erf(complex(x)))
+        expected = math.exp(x * x) * (1.0 + math.erf(x))
         assert abs(sc_to_complex(got) - expected) <= 1e-9 * abs(expected)
 
 
-def test_ml_mu_reductions():
-    z = 1.3 + 0.2j
-    assert _rel(ml_mu(z, 3.0, 1.0), ml_series(z, 3.0)) < 1e-13
-    assert sc_to_complex(ml_mu(0.0, 2.0, 1.75)) == pytest.approx(
-        math.exp(-ln_gamma(1.75)), rel=1e-13)
-    with pytest.raises(ValueError):
-        ml_mu(z, 2.0, 0.5)
+def _ml_mu_mp(w, rho, mu):
+    """sum_k w^k / Gamma(mu + k/rho) in mpmath, to 1e-45 of the sum."""
+    w, rho, mu = mp.mpc(w), mp.mpf(rho), mp.mpf(mu)
+    total, k = mp.mpc(0), 0
+    while True:
+        term = w ** k / mp.gamma(mu + k / rho)
+        total += term
+        if k > 10 and abs(term) < mp.mpf(10) ** -45 * abs(total):
+            return total
+        k += 1
 
 
 def test_tail_via_ml_mu_identity():
-    rho, n = 2.0, 20
-    ctx = MLContext(rho=rho, n=n)
-    rn = radius(n, rho)
-    for z in (0.5, 0.7 * cmath.exp(1j * math.pi / 8)):
-        w = rn * z
-        lhs = ml_mu(w, rho, 1.0 + (n + 1) / rho)
-        shift = (n + 1) * cmath.log(w)
-        lhs = ScaledComplex(lhs.log_mag + shift.real, lhs.phase + shift.imag)
-        assert _rel(lhs, tail(z, ctx)) < 1e-10
+    # t_{n+1}(w) = w^{n+1} sum_k w^k / Gamma(1 + (n+1)/rho + k/rho), summed in
+    # 40-digit mpmath, on both sides of |w| = R_{n+1}: inside, tail is its
+    # forward sum; outside, that sum can cancel and E - s_n may serve
+    n = 20
+    with mp.workdps(40):
+        for rho in (1.5, 2.0, 4.0):
+            ctx = MLContext(rho=rho, n=n)
+            rn = radius(n, rho)
+            edge = radius(n + 1, rho) / rn
+            for mag in (0.5, 0.99 * edge, 1.01 * edge, 1.2):
+                for arg in (0.0, math.pi / 8, 2.0, math.pi):
+                    z = mag * cmath.exp(1j * arg)
+                    w = rn * z
+                    ref = mp.mpc(w) ** (n + 1) * _ml_mu_mp(w, rho, 1 + mp.mpf(n + 1) / rho)
+                    got = tail(z, ctx)
+                    rel = abs(mp.exp(got.log_mag - mp.log(ref)) * mp.expj(got.phase) - 1)
+                    assert rel < 1e-12, (rho, mag, arg)
 
 
 # ------------------------------------------------------------- asymptotics
@@ -404,6 +409,9 @@ def test_context_validation():
         MLContext(rho=0.8, n=5)
     with pytest.raises(ValueError):
         MLContext(rho=2.0, n=0)
+    for rho, lam in ((math.inf, 0.5), (math.nan, 0.5), (2.0, math.nan), (2.0, complex(0.5, math.inf))):
+        with pytest.raises(ValueError, match="must be finite"):
+            MLContext(rho=rho, n=5, lam=lam)
 
 
 # (z, log|s_n(R_n z)|, arg s_n(R_n z)) at rho = 2, n = 600: the points

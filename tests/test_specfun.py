@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from mlsections.mitlef import _asym_coefs
-from mlsections.specfun import erf, erfc, ln_gamma, ln_gamma_arr, rgamma
+from mlsections.specfun import erfc, ln_gamma, ln_gamma_arr, rgamma
 
 
 def test_ln_gamma_small_integers():
@@ -87,8 +87,3 @@ def test_erfc_matches_scipy():
     for z in (0.3 + 0.4j, 2.0 - 1.0j, -1.5 + 0.2j, 5.0 + 5.0j, 9.0 - 3.0j):
         ours, ref = erfc(z), scipy_erfc(z)
         assert abs(ours - ref) <= 1e-10 * max(abs(ref), 1e-30)
-
-
-def test_erf_complement():
-    for z in (0.0, 1.0, 0.5 + 0.5j, -2.0 + 1.0j):
-        assert erf(z) + erfc(z) == pytest.approx(1.0, abs=1e-12)

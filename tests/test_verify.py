@@ -300,3 +300,27 @@ def test_suite_reports_shape():
     rep = suite_theorem3(n_list=(50, 100))
     assert rep["pass"] is True
     assert rep["metric_list"][1] < rep["metric_list"][0]
+
+
+# Each case fails one check of its suite: a reversed n list fails the trend
+# checks, and a frozen constant set out of reach fails its ceiling or floor.
+@pytest.mark.parametrize("suite,kwargs,patches", [
+    pytest.param("theorem1", {"n_list": (200, 50)}, {}, id="theorem1-trend"),
+    pytest.param("theorem3", {"n_list": (200, 100)}, {}, id="theorem3-trend"),
+    pytest.param("theorem4", {"n_list": (300, 75)}, {}, id="theorem4-trend"),
+    pytest.param("kn", {"n_list": (80, 20)}, {}, id="kn-trend"),
+    pytest.param("theorem1", {}, {"THEOREM1_DEV_AT_200": 0.0}, id="theorem1-ceiling"),
+    pytest.param("theorem3", {}, {"THEOREM3_DEV_AT_200": 0.0}, id="theorem3-centre"),
+    pytest.param("kn", {}, {"KN_RATIO_DEV_AT_80": 0.0}, id="kn-ceiling"),
+    pytest.param("lemma4", {}, {"LEMMA4_C1": 1e300}, id="lemma4-j1-floor"),
+    pytest.param("lemma4", {}, {"LEMMA4_SMALLNESS": 1e-300}, id="lemma4-smallness"),
+    pytest.param("lemma4", {}, {"REGION_H": 10.0}, id="lemma4-j2-growth"),
+    pytest.param("lemma4", {}, {"lemma4_logmag": lambda z, ctx: (0.0, 0.0)},
+                 id="lemma4-stirling"),
+])
+def test_suite_verdict_can_fail(suite, kwargs, patches, monkeypatch):
+    if patches:
+        assert verify.SUITES[suite]()["pass"] is True
+    for name, value in patches.items():
+        monkeypatch.setattr(verify, name, value)
+    assert verify.SUITES[suite](**kwargs)["pass"] is False

@@ -339,6 +339,17 @@ def test_locate_splits_a_cell_whose_polish_lands_outside(monkeypatch):
     assert _match_distance([r.location for r in got], [r.location for r in expected]) < 1e-10
 
 
+def test_locate_reports_a_cluster_it_cannot_split(monkeypatch):
+    # with the window itself below the smallest cell, no cell is split: the
+    # window's zeros come back as one uncertified record carrying its winding
+    monkeypatch.setattr(zeros, "MIN_CELL_DIAMETER", 10.0)
+    with pytest.warns(zeros.ClusterWarning):
+        zs = locate_zeros(MLContext(rho=2.0, n=20, lam=0.5), WINDOW)
+    [rec] = zs.records
+    assert not rec.certified
+    assert rec.cluster_count == zs.total_winding == 29
+
+
 def test_locate_lam1_masks_origin():
     ctx = MLContext(rho=2.0, n=10, lam=1.0)
     zs = locate_zeros(ctx, Window(-1.2, 1.2, -1.2, 1.2))
@@ -364,12 +375,20 @@ def test_strip_filter_partitions():
         strip_filter([], rho, 0.0)
 
 
+def test_poly_zeros_requires_lam0():
+    with pytest.raises(ValueError, match="requires lam = 0"):
+        poly_zeros(MLContext(rho=2.0, n=10, lam=0.5))
+
+
 def test_locators_share_tol_domain():
     ctx = MLContext(rho=2.0, n=10)
     with pytest.raises(ValueError, match="tol must be >= 1e-12"):
         poly_zeros(ctx, tol=1e-13)
     with pytest.raises(ValueError, match="tol must be >= 1e-12"):
         locate_zeros(MLContext(rho=2.0, n=10, lam=0.5), Window(-1.0, 1.0, -1.0, 1.0), tol=1e-13)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be >= 1e-12"):
+            poly_zeros(ctx, tol=tol)
     assert len(poly_zeros(ctx, tol=1e-12)) == 10
 
 
