@@ -155,12 +155,13 @@ def zero_set_to_json(records, header: dict) -> str:
         "header": header,
         "records": [
             {"re": rec.location.real, "im": rec.location.imag,
-             "residual_log": rec.residual_log, "certified": rec.certified,
-             "near_asymptote": rec.near_asymptote}
+             # NaN for a cluster record, -inf at an exact zero: JSON has neither
+             "residual_log": rec.residual_log if math.isfinite(rec.residual_log) else None,
+             "certified": rec.certified, "near_asymptote": rec.near_asymptote}
             for rec in records
         ],
     }
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
 
 
 def cmd_zeros(args) -> int:

@@ -162,6 +162,8 @@ def szego_curve(rho: float, samples_per_branch: int, r_max: float = 10.0) -> lis
         raise ValueError("samples_per_branch must be >= 2")
     if not rho > 1.0:
         raise ValueError("rho must be > 1")
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max!r}")
     bound = math.pi / (2.0 * rho)
     # angle at which the outer radius hits r_max: cos(rho phi) = (1 + rho log r)/r^rho
     c_edge = (1.0 + rho * math.log(r_max)) / r_max**rho

@@ -19,7 +19,10 @@ combo is the mixed section/tail combination
 combo, section, tail and ml_series are all a s_n(w) + b E(w) for one
 coefficient pair, (1, -lam), (1, 0), (-1, 1) and (0, 1), and are evaluated
 by one kernel (_series_kernel) that picks, per point, between the direct
-sum and two forms that take E from its asymptotic expansion.
+sum and two forms that take E from its asymptotic expansion.  The kernel
+exponentiates only the real log-magnitudes of the series terms; the phase
+e^{i k arg w} of term k is the product of two entries of short per-point
+tables, built by repeated multiplication (_norm_sum).
 
 The truncation policy is fixed: each series is cut at the first term past
 its peak that is below REL_TOL of the peak, plus TAIL_MARGIN terms, and a
@@ -120,15 +123,17 @@ def radius(n: int, rho: float) -> float:
 
 # --- series terms -----------------------------------------------------------
 
+# columns per block of the phase tables of _norm_sum
+_PHASE_BLOCK = 8
 
-def _log_terms(logw: np.ndarray, k0: int, k1: int, rho: float,
+
+def _log_terms(lr: np.ndarray, k0: int, k1: int, rho: float,
                deriv: bool = False) -> np.ndarray:
-    """Logs of the series terms k0 <= k < k1, one row per entry of logw.
+    """Log-magnitudes of the series terms k0 <= k < k1, one row per entry
+    of lr = log|w|.
 
-    Row i holds k log w_i - ln Gamma(1 + k/rho), or with deriv the terms of
-    the w-derivative, (k - 1) log w_i + log k - ln Gamma(1 + k/rho).  A real
-    logw (log|w|) gives log-magnitudes, a complex one (log|w| + i arg w)
-    complex logs.
+    Row i holds k lr_i - ln Gamma(1 + k/rho), or with deriv those of the
+    w-derivative, (k - 1) lr_i + log k - ln Gamma(1 + k/rho).
     """
     k = np.arange(k0, k1, dtype=float)
     logc = -_lgamma_table(rho, k1)[k0:k1]
@@ -136,26 +141,42 @@ def _log_terms(logw: np.ndarray, k0: int, k1: int, rho: float,
         with np.errstate(divide="ignore"):
             logc = logc + np.log(k)
         k = k - 1.0
-    out = np.multiply.outer(logw, k)
+    out = np.multiply.outer(lr, k)
     out += logc
     return out
 
 
-def _norm_sum(logt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise normalized sum of complex log-terms, overwriting logt.
+def _norm_sum(logt: np.ndarray, theta: np.ndarray, j0: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise normalized sum of the terms e^{logt_k} e^{i (j0 + k) theta}.
 
-    Returns (m, nu, s) with sum_k e^{logt_k} = s e^m, where m is the largest
-    real part, at column nu.
+    logt holds real log-magnitudes, one row per entry of theta.  Returns
+    (m, nu, s) with the row sum s e^m, where m is the largest log-magnitude,
+    at column nu.  Only the magnitudes are exponentiated.  With
+    k = _PHASE_BLOCK q + r, the phase of term k is e^{i r theta} times
+    e^{i (j0 + _PHASE_BLOCK q) theta}, from two per-row tables built by
+    repeated multiplication: a row costs four complex exponentials, not one
+    per term.  The block does not depend on the row width, so neither does
+    the rounding of a term's phase: a point's terms are the same in any
+    batch.
     """
-    nu = logt.real.argmax(axis=1)
-    m = logt.real[np.arange(len(nu)), nu]
-    logt -= m[:, None]
-    # e^x is exactly 0 for x < -746: skip the complex exponential there
-    live = logt.real > -746.0
-    with np.errstate(under="ignore"):
-        np.exp(logt, out=logt, where=live)
-    logt[~live] = 0.0
-    return m, nu, logt.sum(axis=1)
+    rows, width = logt.shape
+    nu = logt.argmax(axis=1)
+    m = logt[np.arange(rows), nu]
+    b = _PHASE_BLOCK
+    q = -(-width // b)
+    # the magnitudes as (q, b) blocks, zero-padded
+    mag = np.zeros((rows, q, b))
+    t = mag.reshape(rows, q * b)[:, :width]
+    np.exp(np.subtract(logt, m[:, None], out=t), out=t)
+    # tab[r, 0] = e^{i r theta} and tab[q, 1] = e^{i (j0 + b q) theta}
+    tab = np.repeat(np.exp(np.multiply.outer(((0.0, 1j * j0), (1j, 1j * b)), theta)),
+                    (1, max(b, q) - 1), axis=0)
+    np.multiply.accumulate(tab, axis=0, out=tab)
+    # the sums over r as one real matrix product with the (cos, sin) pairs
+    # of tab[:b, 0], then the sums over q
+    inner = mag @ tab[:b, 0].view(float).reshape(b, rows, 2).transpose(1, 0, 2)
+    return m, nu, np.einsum("ij,ji->i", inner.view(complex)[:, :, 0], tab[:q, 1])
 
 
 def _peak_and_cutoff(lr: float, rho: float) -> tuple[float, int, int]:
@@ -373,7 +394,7 @@ _LOG_EPS = math.log(2.0 ** -52)
 _CHUNK_ELEMENTS = 1 << 14
 # glibc maps each block above its mmap threshold (128 KiB at start) to fresh pages
 # and raises the threshold to the first such block freed: this 1 MiB one keeps the
-# 256 KiB chunk arrays on the heap, instead of page faults on every chunk
+# ~128 KiB real chunk arrays on the heap, instead of page faults on every chunk
 np.empty(1 << 17)
 # A is suspect once its error floor comes within e^13.8 (~1e6) of its value
 _SUSPECT_GAP = 13.8
@@ -385,9 +406,10 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
 
     Returns (log_mag, phase, log_floor): the value in log-polar form (exact
     zeros carry log_mag = -inf) and the log of its estimated absolute error.
-    The series terms of each point are exponentiated once and split at
-    column n into the normalized sums S = s_n and T = t_{n+1}, which give
-    three representations with different error floors:
+    The series terms of each point are exponentiated once, as real
+    magnitudes with their phases taken from two short tables (_norm_sum),
+    and split at column n into the normalized sums S = s_n and T = t_{n+1},
+    which give three representations with different error floors:
 
       A  (a+b) S + b T          direct sum: eps-part of S and T
       B  a S + b E_asym         eps-part of S, |b| times E_asym's error
@@ -424,6 +446,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     if live.size == 0:
         return out_log, out_ph, out_floor
     logw = np.log(w[live])
+    # the phase of term k is (k + j0) arg w: j0 = -1 for the derivative
+    j0 = -int(deriv)
     # C reads T only where |w| <= R_{n+1}, and needs it to REL_TOL of its
     # first term: there the tail falls from t_{n+1} at least as fast as at
     # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
@@ -448,11 +472,11 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
         idx = live[c0:c0 + chunk]
         lw = logw[c0:c0 + chunk]
         fc = None if far is None else far[c0:c0 + chunk]
-        logt = _log_terms(lw, 0, width, rho, deriv)
-        m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1])
+        logt = _log_terms(lw.real, 0, width, rho, deriv)
+        m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1], lw.imag, j0)
         fl_s = _eps_floor(m_s, nu_s, lw, rho)
         if b != 0:
-            m_t, nu_t, s_t = _norm_sum(logt[:, n + 1:])
+            m_t, nu_t, s_t = _norm_sum(logt[:, n + 1:], lw.imag, j0 + n + 1)
             val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
             floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, lw, rho))
         else:
@@ -494,7 +518,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
             if jc.size:
                 if b == 0:
                     kcut = kcut or _peak_and_cutoff(lr_fwd, rho)[2]
-                    mt, _nu, st = _norm_sum(_log_terms(lw[jc], n + 1, kcut + 1, rho, deriv))
+                    mt, _nu, st = _norm_sum(_log_terms(lw[jc].real, n + 1, kcut + 1, rho, deriv),
+                                            lw[jc].imag, j0 + n + 1)
                 else:
                     mt, st = m_t[jc], s_t[jc]
                 e_log, e_ph = _ml_asym_batch(w[idx[jc]], rho, deriv)

@@ -175,10 +175,11 @@ def _contour_integrals(ctx: MLContext, rects: list[Window]
     over 2 pi.  The closed polylines of all rectangles are refined together,
     with one evaluation per pass, until consecutive phase increments are
     below pi/2.  A rectangle whose refinement stalls (a zero on or near its
-    boundary), or whose phase sum is not close to an integer, gets None; the
-    others go on.  The moment (1/2 pi i) ∮ z I'/I dz, which is the zero of
-    a winding-1 rectangle (Delves-Lyness), comes from the same samples: each
-    segment adds its midpoint times its change of log I.
+    boundary), that has a sample at an exact zero (log|I| = -inf), or whose
+    phase sum is not close to an integer, gets None; the others go on.  The
+    moment (1/2 pi i) ∮ z I'/I dz, which is the zero of a winding-1
+    rectangle (Delves-Lyness), comes from the same samples: each segment
+    adds its midpoint times its change of log I.
     """
     polys = [r.boundary_points(_initial_per_side(ctx, r)) for r in rects]
     owner = np.repeat(np.arange(len(rects)), [len(p) for p in polys])
@@ -187,6 +188,7 @@ def _contour_integrals(ctx: MLContext, rects: list[Window]
     depth = np.zeros(len(pts) - 1, dtype=int)
     failed = np.zeros(len(rects), dtype=bool)
     while True:
+        failed[owner[lm == -np.inf]] = True
         # a segment between two rectangles' polylines is no boundary segment
         seg = owner[:-1] == owner[1:]
         d = np.where(seg, _wrap(np.diff(ph)), 0.0)
@@ -208,6 +210,8 @@ def _contour_integrals(ctx: MLContext, rects: list[Window]
     total = np.bincount(owner[:-1], weights=d, minlength=len(rects)) / (2.0 * math.pi)
     w = np.round(total)
     failed |= np.abs(total - w) > 1e-3
+    # a failed rectangle's moment is not read: keep its -inf samples out of it
+    lm = np.where(failed[owner], 0.0, lm)
     dm = np.where(seg, 0.5 * (pts[:-1] + pts[1:]) * (np.diff(lm) + 1j * d), 0.0)
     moment = (np.bincount(owner[:-1], weights=dm.real, minlength=len(rects))
               + 1j * np.bincount(owner[:-1], weights=dm.imag, minlength=len(rects)))
@@ -501,6 +505,8 @@ def strip_filter(records, rho: float, strip_width: float
 
     Returns (kept, filtered); filtered records get near_asymptote=True.
     """
+    if not math.isfinite(strip_width):
+        raise ValueError(f"strip_width must be finite, got {strip_width!r}")
     if strip_width <= 0.0:
         raise ValueError("strip_width must be > 0")
     kept: list[ZeroRecord] = []

@@ -124,9 +124,14 @@ def test_zeros_flags_uncertified_records(capsys, monkeypatch):
     with pytest.warns(zeros.ClusterWarning):
         code, out, _ = run(["zeros", "--n", "20", "--lambda", "0.5"], capsys)
     assert code == 0
-    data = json.loads(out)
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    data = json.loads(out, parse_constant=reject)
     assert data["header"]["warnings"] == ["uncertified records present"]
     assert [r["certified"] for r in data["records"]] == [False]
+    assert [r["residual_log"] for r in data["records"]] == [None]
 
 
 def test_zeros_lambda0_passes_tol(capsys, monkeypatch):

@@ -191,6 +191,9 @@ def test_szego_curve_structure():
         szego_curve(rho, 1)
     with pytest.raises(ValueError):
         szego_curve(1.0, 10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            szego_curve(rho, 20, r_max=bad)
 
 
 # --------------------------------------------------------------- regions

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -452,3 +453,57 @@ def test_forward_tail_summed_to_its_own_tolerance():
         got = combo(complex(x, y), ctx)
         assert _rel(got, ScaledComplex(log_mag, phase)) <= 4e-13
 
+
+
+# ------------------------------------------------- wide rows against mpmath
+
+
+def _section_and_series_mp(w: complex, n: int, rho: float) -> tuple[complex, complex]:
+    """(s_n(w), E(w)) summed in mpmath at the exact double w, with enough
+    digits to absorb E's cancellation below its largest term (~e^{|w|^rho}).
+
+    For 1/rho = p/q, term k + q is term k times w^q / prod_{j=1..p} (k/rho + j)."""
+    p, q = Fraction(1.0 / rho).limit_denominator(8).as_integer_ratio()
+    digits = 30 + int(abs(w) ** rho / math.log(10.0))
+    with mp.workdps(digits):
+        wm = mp.mpc(w)
+        terms = [wm ** k / mp.gamma(1 + mp.mpf(k * p) / q) for k in range(q)]
+        wq, tol = wm ** q, mp.mpf(10) ** (5 - digits)
+        s, e, peak, k = None, mp.mpc(0), mp.mpf(0), 0
+        while True:
+            term = terms[k % q]
+            e += term
+            if k == n:
+                s = e
+            peak = max(peak, abs(term))
+            if k > n and abs(term) < tol * peak:
+                return complex(s), complex(e)
+            x = mp.mpf(k * p) / q
+            for j in range(1, p + 1):
+                term /= x + j
+            terms[k % q] = term * wq
+            k += 1
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("n", [100, 300])
+def test_wide_rows_match_mpmath(rho, n):
+    # one batch per coefficient pair, so every b != 0 row is as wide as the
+    # cutoff of the largest |w|; points whose error floor is within 1e-13 of
+    # the scale max(|a s_n|, |b E|) are gated at 1e-11 of it
+    rn = radius(n, rho)
+    angles = (0.0, 0.4, 1.2, 2.2, math.pi - 0.05, -(math.pi - 0.05))
+    w = np.array([rn * r * cmath.exp(1j * phi)
+                  for r in (0.6, math.exp(-1.0 / rho), 1.2) for phi in angles])
+    refs = [_section_and_series_mp(x, n, rho) for x in w]
+    gated = 0
+    for a, b in ((1.0, 0.0), (1.0, -0.5), (-1.0, 1.0)):
+        log_mag, phase, log_floor = mitlef._series_kernel(w, n, rho, a, b)
+        for x, (s, e), lm, ph, fl in zip(w, refs, log_mag, phase, log_floor):
+            scale = max(abs(a * s), abs(b * e))
+            if fl > math.log(1e-13 * scale):
+                continue
+            gated += 1
+            got = cmath.exp(lm + 1j * ph) if lm > -np.inf else 0.0
+            assert abs(got - (a * s + b * e)) <= 1e-11 * scale, (a, b, x)
+    assert gated >= 10

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -221,6 +222,25 @@ def test_multi_rectangle_count_fails_only_the_stalled_rectangle():
     assert [winding_number(ctx, r) for r in rects[::2]] == [1, 0]
 
 
+def test_exact_zero_on_a_sample_fails_only_its_rectangle(monkeypatch):
+    # log|I| = -inf at the sample z = 0.5 puts a zero on the first
+    # rectangle's boundary: it gets None, and no -inf enters a moment
+    ctx = MLContext(rho=2.0, n=12, lam=0.5)
+    field = zeros._field_batch
+
+    def zero_at_half(ctx, zs):
+        lm, ph = field(ctx, zs)
+        return np.where(zs == 0.5, -np.inf, lm), ph
+
+    monkeypatch.setattr(zeros, "_field_batch", zero_at_half)
+    rects = [Window(0.0, 0.5, -0.5, 0.5), Window(-1.0, -0.5, -0.5, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, moments = _contour_integrals(ctx, rects)
+    assert counts == [None, _contour_integrals(ctx, rects[1:])[0][0]]
+    assert np.isfinite(moments).all()
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 0.5])
 def test_multi_rectangle_count_matches_one_at_a_time(lam):
     ctx = MLContext(rho=2.0, n=12, lam=lam)
@@ -373,6 +393,9 @@ def test_strip_filter_partitions():
     assert filtered[0].near_asymptote and not kept[0].near_asymptote
     with pytest.raises(ValueError):
         strip_filter([], rho, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            strip_filter([on_ray, off_ray], rho, bad)
 
 
 def test_poly_zeros_requires_lam0():
