@@ -427,7 +427,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     lower floor.  T is computed only where it is read: always when b != 0,
     otherwise on the points routed to C.  When b != 0, a point whose central
     index rho |w|^rho exceeds MAX_TERMS, and where B's remainder
-    e^{-|w|^rho} is below REL_TOL, takes B and does not set the cutoff;
+    e^{-|w|^rho} is below REL_TOL, takes B and does not set a cutoff;
     past the budget every other point still raises TruncationError.
     """
     a, b = complex(a), complex(b)
@@ -451,27 +451,27 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     # C reads T only where |w| <= R_{n+1}, and needs it to REL_TOL of its
     # first term: there the tail falls from t_{n+1} at least as fast as at
     # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
-    # covers every C point.  The cutoff grows with |w|, so for A one cutoff,
-    # set by the largest |w| not sent to B up front, serves every point.
+    # covers every C point.  For A the cutoff grows with |w|, and a point
+    # sent to B up front (far) needs none past R_{n+1}: sorted by that
+    # radius, largest first, each chunk takes the cutoff of its first row.
     lr_fwd = math.log(radius(n + 1, rho))
-    kcut = far = None
+    c_cut = None  # at b = 0, C's tail cutoff, found once when a point takes C
     if b != 0:
-        lr_max = float(logw.real.max())
         lr_far = max(math.log(MAX_TERMS / rho), math.log(-math.log(REL_TOL))) / rho
-        if lr_max > lr_far:
-            far = logw.real > lr_far
-            lr_max = float(np.max(logw.real[~far], initial=lr_fwd))
-        kcut = _peak_and_cutoff(max(lr_max, lr_fwd), rho)[2]
-    width = n + 1 if kcut is None else kcut + 1
+        lr_cut = np.where(logw.real > lr_far, lr_fwd, np.maximum(logw.real, lr_fwd))
+        order = np.argsort(-lr_cut, kind="stable")
+        live, logw, lr_cut = live[order], logw[order], lr_cut[order]
     # chunks are sized from the widest row array built: the series rows, the
     # asymptotic rows, or the C-route tail to (about) the R_{n+1} cutoff,
     # which a b != 0 row already covers
-    c_width = 0 if kcut else _first_scan_end(lr_fwd, rho) + TAIL_MARGIN - n
-    chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
-    for c0 in range(0, live.size, chunk):
+    c_width = 0 if b != 0 else _first_scan_end(lr_fwd, rho) + TAIL_MARGIN - n
+    c0 = 0
+    while c0 < live.size:
+        width = n + 1 if b == 0 else _peak_and_cutoff(float(lr_cut[c0]), rho)[2] + 1
+        chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
         idx = live[c0:c0 + chunk]
         lw = logw[c0:c0 + chunk]
-        fc = None if far is None else far[c0:c0 + chunk]
+        c0 += chunk
         logt = _log_terms(lw.real, 0, width, rho, deriv)
         m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1], lw.imag, j0)
         fl_s = _eps_floor(m_s, nu_s, lw, rho)
@@ -479,14 +479,14 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
             m_t, nu_t, s_t = _norm_sum(logt[:, n + 1:], lw.imag, j0 + n + 1)
             val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
             floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, lw, rho))
+            # a far row stops short of its cutoff: A has no floor there, and B serves
+            floor[lw.real > lr_far] = np.inf
         else:
             val_log, val_ph = _combine((a, s_s, m_s))
             floor = la + fl_s
         del logt
 
         suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
-        if fc is not None:
-            suspect |= fc
         j = np.nonzero(suspect)[0]
         if j.size:
             lwj = lw[j]
@@ -506,8 +506,6 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
                             np.logaddexp(lab + e_err, la + _eps_floor(first, n + 1, lwj, rho)),
                             np.inf)
             use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
-            if fc is not None:
-                use_b |= fc[j]
             use_c = (fl_c < floor[j]) & (fl_c < fl_b)
             jb, jc = j[use_b], j[use_c]
             if jb.size:
@@ -517,8 +515,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
                 floor[jb] = fl_b[use_b]
             if jc.size:
                 if b == 0:
-                    kcut = kcut or _peak_and_cutoff(lr_fwd, rho)[2]
-                    mt, _nu, st = _norm_sum(_log_terms(lw[jc].real, n + 1, kcut + 1, rho, deriv),
+                    c_cut = c_cut or _peak_and_cutoff(lr_fwd, rho)[2]
+                    mt, _nu, st = _norm_sum(_log_terms(lw[jc].real, n + 1, c_cut + 1, rho, deriv),
                                             lw[jc].imag, j0 + n + 1)
                 else:
                     mt, st = m_t[jc], s_t[jc]

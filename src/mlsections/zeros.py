@@ -11,15 +11,16 @@ per root); a root whose disk is not isolated, or is too wide, falls back
 to the winding count below.
 
 For general lam a quadtree of winding numbers (argument principle on
-rectangle boundaries) isolates the zeros.  The boundary samples of each
-count also give the first contour moment (1/2 pi i) ∮ z I'/I dz, which for
-a rectangle of winding 1 is its zero (Delves-Lyness, Math. Comp. 21, 1967).
-Such a rectangle is polished at once from its moment, and is split further
-only if the root does not certify inside it.  Roots are polished by Newton
-steps on the scaled evaluation and certified by a winding count of 1 in a
-small box, both as batches: each Newton iteration and each refinement
-pass of the winding count evaluates every root or rectangle still open in
-one call.
+rectangle boundaries) isolates the zeros, one level per pass.  The
+boundary samples of each count also give the first contour moment
+(1/2 pi i) ∮ z I'/I dz, which for a rectangle of winding 1 is its zero
+(Delves-Lyness, Math. Comp. 21, 1967).  Such a rectangle is polished at
+once from its moment, and is split further only if the root does not
+certify inside it.  Roots are polished by Newton steps on the scaled
+evaluation and certified by a winding count of 1 in a small box.  Each
+pass polishes, certifies and splits its level as batches: each Newton
+iteration and each refinement pass of a winding count evaluates every
+root or rectangle of the level still open in one call.
 
 For lam = 1 the combination is minus the tail, which has a zero of
 multiplicity n + 1 at the origin.  All winding arithmetic then runs on
@@ -58,7 +59,8 @@ MIN_CELL_DIAMETER = 1e-6
 PHASE_STEP_LIMIT = math.pi / 2.0
 MAX_REFINE_DEPTH = 48  # halvings of one boundary segment before its rectangle fails
 NEWTON_MAX_ITER = 30
-WINDOW_JITTERS = 5  # jittered retries of a window boundary that stalls
+# shifted retries of a boundary that stalls: the window's edges, or a cell's split lines
+JITTERS = 5
 
 
 class BoundaryZeroError(RuntimeError):
@@ -388,6 +390,13 @@ def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
     return cert
 
 
+def _sorted(records: list[ZeroRecord]) -> list[ZeroRecord]:
+    """Records by real part, rounded to 8 decimals, then imaginary part: the
+    members of a conjugate pair differ in their real parts by a few ulps, and
+    the rounding lists the lower one first in every run."""
+    return sorted(records, key=lambda rec: (round(rec.location.real, 8), rec.location.imag))
+
+
 def _check_tol(tol: float) -> None:
     """The domain check shared by both locators."""
     if not 1e-12 <= tol < math.inf:
@@ -402,24 +411,25 @@ def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:
         raise ValueError("poly_zeros requires lam = 0")
     _check_tol(tol)
     buf = np.empty((ctx.n, ctx.n), dtype=complex)  # the one n x n array, reused
-    roots = _aberth(ctx, buf)
-    z, res, ok, runc = _newton_polish(roots[np.lexsort((roots.imag, roots.real))], ctx, tol)
+    z, res, ok, runc = _newton_polish(_aberth(ctx, buf), ctx, tol)
     cert = _certify_roots(ctx, z, ok, tol, runc, buf)
-    return [ZeroRecord(complex(a), float(r), bool(c)) for a, r, c in zip(z, res, cert)]
+    return _sorted([ZeroRecord(complex(a), float(r), bool(c)) for a, r, c in zip(z, res, cert)])
 
 
 def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
-    """Quadtree subdivision by winding number with Newton polish.
+    """Quadtree subdivision by winding number with Newton polish, one level per pass.
 
-    A cell of winding 1 is polished by Newton from its first contour moment
-    (its centre if the moment lies outside it); the root is accepted when
-    the polish converges, the root lies farther inside the cell than the
-    largest box _certify may try, and that box certifies it.  The cell then
-    holds exactly one zero, and the certified box inside it holds that zero.
-    Otherwise the cell is split.  Below the polish diameter Newton starts
-    from the cell centre and its root is kept, certified or not, if it stays
-    near the cell; clusters that never separate above the minimum cell size
-    are reported unpolished with their count.
+    Each pass polishes every cell of winding 1 as one batch, from its first
+    contour moment (its centre if the moment lies outside it), and certifies
+    the candidates as one batch.  A cell of at least the polish diameter
+    keeps its root when the root certifies and lies farther inside the cell
+    than the largest box _certify may try: the cell then holds exactly one
+    zero, and the certified box inside it holds that zero.  A smaller cell
+    keeps its root, certified or not, if it lies within one cell diameter.
+    Cells below the minimum cell size are reported unpolished with their
+    count, as clusters.  The children of every other cell are counted as one
+    batch, and a cell whose children miss its count is split again at a
+    shifted centre.
     """
     _check_tol(tol)
     # lam = 1: winding runs on the origin-reduced function, so the known
@@ -428,7 +438,7 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     records: list[ZeroRecord] = []
 
     root_win = window
-    for attempt in range(WINDOW_JITTERS + 1):
+    for attempt in range(JITTERS + 1):
         if attempt:  # deterministic jitter of a boundary that stalled
             e = 1e-7 * window.diameter * attempt
             root_win = Window(window.re_min - e, window.re_max + e * 1.3,
@@ -438,64 +448,60 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
             break
     else:
         raise BoundaryZeroError("window boundary stalled on a zero after every jitter")
-    (root_moment,) = moments.tolist()
 
-    def polish(cells: list[Window], moments: list[complex]) -> np.ndarray:
-        """Polish winding-1 cells from their moments as one batch, and
-        certify as one batch; whether each cell's root was accepted."""
-        starts = [m if c.contains(m) else c.center for c, m in zip(cells, moments)]
-        z, res, ok, runc = _newton_polish(np.array(starts), ctx, tol)
-        edges = np.array([[c.re_min, c.re_max, c.im_min, c.im_max] for c in cells]).T
-        margin = np.minimum.reduce([z.real - edges[0], edges[1] - z.real,
-                                    z.imag - edges[2], edges[3] - z.imag])
-        keep = ok & (margin > 1e4 * _start_side(z, tol, runc))
-        if keep.any():
-            keep[keep] = _certify(z[keep], ctx, tol, runc[keep])
-        records.extend(ZeroRecord(complex(a), float(r), True) for a, r in zip(z[keep], res[keep]))
-        return keep
-
-    def solve(cells: list[Window], counts: list[int], moments: list[complex]) -> None:
-        big = [i for i, (c, w) in enumerate(zip(cells, counts))
-               if w == 1 and c.diameter >= POLISH_CELL_DIAMETER]
-        kept = polish([cells[i] for i in big], [moments[i] for i in big]) if big else ()
-        done = {i for i, k in zip(big, kept) if k}
-        for i, (cell, w) in enumerate(zip(cells, counts)):
-            if w and i not in done:
-                isolate(cell, w)
-
-    def isolate(cell: Window, w: int) -> None:
-        if w == 1 and cell.diameter < POLISH_CELL_DIAMETER:
-            z, res, ok, runc = _newton_polish(np.array([cell.center]), ctx, tol)
-            inflate = cell.diameter
-            near = (cell.re_min - inflate <= z[0].real <= cell.re_max + inflate
-                    and cell.im_min - inflate <= z[0].imag <= cell.im_max + inflate)
-            if ok[0] and near:
-                records.append(ZeroRecord(complex(z[0]), float(res[0]),
-                                          bool(_certify(z, ctx, tol, runc)[0])))
-                return
-            # Newton escaped the cell: isolate further
-        if cell.diameter < MIN_CELL_DIAMETER:
-            warnings.warn(
-                f"cluster of {w} zeros did not separate above diameter {MIN_CELL_DIAMETER}",
-                ClusterWarning, stacklevel=2)
-            records.append(ZeroRecord(cell.center, math.nan, False, cluster_count=w))
-            return
-        for attempt in range(6):
-            a, b, c, d, s = cell.re_min, cell.re_max, cell.im_min, cell.im_max, 1e-7 * attempt
-            cx, cy = 0.5 * (a + b) + s * (b - a), 0.5 * (c + d) + s * (d - c)
-            children = [Window(a, cx, c, cy), Window(cx, b, c, cy),
-                        Window(a, cx, cy, d), Window(cx, b, cy, d)]
-            counts, moments = _contour_integrals(ctx, children)
-            if None in counts or sum(counts) != w:
-                continue  # a zero sat on the split line; shift and retry
-            solve(children, counts, moments.tolist())
-            return
-        raise BoundaryZeroError(
-            f"could not split cell {cell} without a boundary zero")
-
-    solve([root_win], [total], [root_moment])
-    records.sort(key=lambda rec: (rec.location.real, rec.location.imag))
-    return ZeroSet(tuple(records), masked_origin_multiplicity=masked,
+    level = [(root_win, total, moments[0])]  # (cell, winding, moment) of this pass's cells
+    while level:
+        one = [(i, cell, m) for i, (cell, w, m) in enumerate(level) if w == 1]
+        kept = set()
+        if one:
+            starts = [m if cell.contains(m) else cell.center for _i, cell, m in one]
+            z, res, ok, runc = _newton_polish(np.array(starts), ctx, tol)
+            edges = np.array([[c.re_min, c.re_max, c.im_min, c.im_max] for _i, c, _m in one]).T
+            margin = np.minimum.reduce([z.real - edges[0], edges[1] - z.real,
+                                        z.imag - edges[2], edges[3] - z.imag])
+            diameter = np.array([cell.diameter for _i, cell, _m in one])
+            small = diameter < POLISH_CELL_DIAMETER
+            # a small cell's root may lie up to one diameter outside it
+            cand = ok & np.where(small, margin >= -diameter,
+                                 margin > 1e4 * _start_side(z, tol, runc))
+            cert = np.zeros(z.size, dtype=bool)
+            if cand.any():
+                cert[cand] = _certify(z[cand], ctx, tol, runc[cand])
+            keep = cand & (cert | small)
+            records.extend(ZeroRecord(complex(a), float(r), bool(c))
+                           for a, r, c in zip(z[keep], res[keep], cert[keep]))
+            kept = {one[k][0] for k in np.flatnonzero(keep)}
+        split = []
+        for i, (cell, w, _m) in enumerate(level):
+            if w and i not in kept and cell.diameter < MIN_CELL_DIAMETER:
+                warnings.warn(
+                    f"cluster of {w} zeros did not separate above diameter {MIN_CELL_DIAMETER}",
+                    ClusterWarning, stacklevel=2)
+                records.append(ZeroRecord(cell.center, math.nan, False, cluster_count=w))
+            elif w and i not in kept:
+                split.append((cell, w))
+        level = []
+        for attempt in range(JITTERS + 1):
+            if not split:
+                break
+            kids = []
+            for cell, _w in split:  # at the centre, shifted on a retry
+                a, b, c, d, s = cell.re_min, cell.re_max, cell.im_min, cell.im_max, 1e-7 * attempt
+                cx, cy = 0.5 * (a + b) + s * (b - a), 0.5 * (c + d) + s * (d - c)
+                kids += [Window(a, cx, c, cy), Window(cx, b, c, cy),
+                         Window(a, cx, cy, d), Window(cx, b, cy, d)]
+            kid_counts, kid_moments = _contour_integrals(ctx, kids)
+            missed = []
+            for j, (cell, w) in enumerate(split):
+                got = kid_counts[4 * j:4 * j + 4]
+                if None in got or sum(got) != w:
+                    missed.append((cell, w))  # a zero sat on a split line: shift and retry
+                else:
+                    level += zip(kids[4 * j:4 * j + 4], got, kid_moments[4 * j:4 * j + 4])
+            split = missed
+        if split:
+            raise BoundaryZeroError(f"could not split cell {split[0][0]} without a boundary zero")
+    return ZeroSet(tuple(_sorted(records)), masked_origin_multiplicity=masked,
                    total_winding=total + masked)
 
 

@@ -351,19 +351,26 @@ def test_combo_batch_matches_scalar():
         assert l == pytest.approx(c.log_mag, abs=1e-9)
 
 
-def test_combo_batch_lam0_rows_do_not_depend_on_the_batch():
-    """At lam = 0 there is no batch-wide cutoff: each point's value is the
-    same, bit for bit, in any batch, across chunk boundaries too."""
-    ctx = MLContext(rho=2.0, n=100, lam=0.0)
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.7 + 0.2j])
+def test_combo_batch_rows_do_not_depend_on_the_batch(lam):
+    """Each point's value is the same, bit for bit, in any batch: split
+    across chunk boundaries, permuted, or alone.  At lam != 0 the kernel
+    sorts the points by their cutoff radius and writes each chunk back to
+    its own points; z = 60 (|w| ~ 425) lies past the far rule's radius."""
+    ctx = MLContext(rho=2.0, n=100, lam=lam)
     m = 2 * (mitlef._CHUNK_ELEMENTS // (ctx.n + 1)) + 3  # at least three chunks
     rng = np.random.default_rng(11)
-    zs = rng.uniform(-1.8, 1.8, m) + 1j * rng.uniform(-1.8, 1.8, m)
+    zs = np.concatenate([[60.0], rng.uniform(-1.8, 1.8, m) + 1j * rng.uniform(-1.8, 1.8, m)])
+    perm = rng.permutation(zs.size)
     for deriv in (False, True):
         full = combo_batch(zs, ctx, deriv)
-        head, rest = combo_batch(zs[:1000], ctx, deriv), combo_batch(zs[1000:], ctx, deriv)
-        for whole, a, b in zip(full, head, rest):
+        cut = zs.size // 3
+        head, rest = combo_batch(zs[:cut], ctx, deriv), combo_batch(zs[cut:], ctx, deriv)
+        shuffled = combo_batch(zs[perm], ctx, deriv)
+        for whole, a, b, c in zip(full, head, rest, shuffled):
             assert np.array_equal(whole, np.concatenate([a, b]))
-        for i in range(0, m, 97):
+            assert np.array_equal(whole[perm], c)
+        for i in range(0, zs.size, 97):
             one = combo_batch(zs[i:i + 1], ctx, deriv)
             assert one[0][0] == full[0][i] and one[1][0] == full[1][i]
 

@@ -1,19 +1,26 @@
-"""Layer benchmark of the series kernel: combo_batch throughput per (n, lam).
+"""Layer benchmark of the series kernel and the locator, per (n, lam).
 
-Times combo_batch on 4,000 seeded points, uniform in [-1.8, 1.8]^2, at
-rho = 2, for n in {20, 100, 300} and lam in {0, 0.5, 1}.  Each cell is the
-median of 5 timed calls after one warm-up call.  It prints microseconds per
-point and series terms per second (points times row width: n + 1 terms at
-lam = 0, the truncation index kcut + 1 otherwise) and writes the table, with
-nproc, to BENCH_<label>.json in the working directory.
+combo_batch: times combo_batch on 4,000 seeded points, uniform in
+[-1.8, 1.8]^2, at rho = 2, for n in {20, 100, 300} and lam in {0, 0.5, 1}.
+Each cell is the median of 5 timed calls after one untimed call, during
+which the series terms the kernel builds are counted by wrapping
+mitlef._log_terms (its cutoff scans included).  It prints microseconds per
+point, terms per point and terms per second.
+
+locate_zeros: times locate_zeros on the same window at rho = 2, for n in
+{20, 100} and lam in {0, 0.5, 1}, the median of 3 timed calls after one
+untimed call, during which the _contour_integrals calls and the points
+evaluated by combo_batch are counted by wrapping them.
+
+Both tables go, with nproc, to BENCH_<label>.json in the working directory.
 
 Run from the repository root:  PYTHONPATH=src python3 tools/bench.py LABEL
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 import os
 import statistics
 import sys
@@ -21,7 +28,8 @@ import time
 
 import numpy as np
 
-from mlsections.mitlef import MLContext, _peak_and_cutoff, combo_batch, radius
+from mlsections import mitlef, zeros
+from mlsections.mitlef import MLContext, combo_batch
 
 RHO = 2.0
 POINTS = 4000
@@ -29,19 +37,64 @@ HALF_SIDE = 1.8
 NS = (20, 100, 300)
 LAMS = (0.0, 0.5, 1.0)
 REPEATS = 5
+LOCATE_NS = (20, 100)
+LOCATE_REPEATS = 3
 
 
-def _width(zs: np.ndarray, n: int, lam: float) -> tuple[int, int | None]:
-    """Row width of the kernel's series array, and its cutoff kcut (None at lam = 0).
+@contextlib.contextmanager
+def _counting(module, name: str, size):
+    """Count the calls of module.name, and the sum of size(*args) over them."""
+    inner = getattr(module, name)
+    tally = {"calls": 0, "size": 0}
 
-    With lam != 0 the cutoff is set by the largest |w| = R_n |z| of the
-    batch, but not below R_{n+1} (no point of this window lies past the
-    kernel's MAX_TERMS rule at these n)."""
-    if lam == 0:
-        return n + 1, None
-    lr = math.log(radius(n, RHO) * float(np.abs(zs).max()))
-    kcut = _peak_and_cutoff(max(lr, math.log(radius(n + 1, RHO))), RHO)[2]
-    return kcut + 1, kcut
+    def wrapper(*args, **kwargs):
+        tally["calls"] += 1
+        tally["size"] += size(*args)
+        return inner(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    try:
+        yield tally
+    finally:
+        setattr(module, name, inner)
+
+
+def _median_seconds(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def kernel_rows(zs: np.ndarray) -> list[dict]:
+    rows = []
+    for n in NS:
+        for lam in LAMS:
+            ctx = MLContext(RHO, n, lam)
+            with _counting(mitlef, "_log_terms",
+                           lambda lr, k0, k1, *_: np.size(lr) * (k1 - k0)) as terms:
+                combo_batch(zs, ctx)
+            sec = _median_seconds(lambda: combo_batch(zs, ctx), REPEATS)
+            rows.append({"n": n, "lam": lam, "terms": terms["size"],
+                         "us_per_point": 1e6 * sec / zs.size, "terms_per_s": terms["size"] / sec})
+    return rows
+
+
+def locate_rows() -> list[dict]:
+    window = zeros.Window(-HALF_SIDE, HALF_SIDE, -HALF_SIDE, HALF_SIDE)
+    rows = []
+    for n in LOCATE_NS:
+        for lam in LAMS:
+            ctx = MLContext(RHO, n, lam)
+            with _counting(zeros, "_contour_integrals", lambda _ctx, rects: len(rects)) as contours:
+                with _counting(zeros, "combo_batch", lambda zs, *_: np.size(zs)) as evals:
+                    zeros.locate_zeros(ctx, window)
+            sec = _median_seconds(lambda: zeros.locate_zeros(ctx, window), LOCATE_REPEATS)
+            rows.append({"n": n, "lam": lam, "seconds": sec,
+                         "contour_calls": contours["calls"], "points": evals["size"]})
+    return rows
 
 
 def main(argv: list[str]) -> int:
@@ -51,30 +104,23 @@ def main(argv: list[str]) -> int:
     label = argv[0]
     rng = np.random.default_rng(0)
     zs = rng.uniform(-HALF_SIDE, HALF_SIDE, POINTS) + 1j * rng.uniform(-HALF_SIDE, HALF_SIDE, POINTS)
-    rows = []
-    for n in NS:
-        for lam in LAMS:
-            ctx = MLContext(RHO, n, lam)
-            combo_batch(zs, ctx)
-            times = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                combo_batch(zs, ctx)
-                times.append(time.perf_counter() - t0)
-            sec = statistics.median(times)
-            width, kcut = _width(zs, n, lam)
-            rows.append({"n": n, "lam": lam, "kcut": kcut, "width": width,
-                         "us_per_point": 1e6 * sec / POINTS,
-                         "terms_per_s": POINTS * width / sec})
+    kernel = kernel_rows(zs)
     print(f"combo_batch, rho = {RHO:g}, {POINTS} points in [-{HALF_SIDE}, {HALF_SIDE}]^2, "
           f"median of {REPEATS}, nproc = {os.cpu_count()}")
-    print(f"{'n':>5} {'lam':>5} {'kcut':>6} {'us/point':>10} {'Mterms/s':>10}")
-    for r in rows:
-        kcut = "-" if r["kcut"] is None else r["kcut"]
-        print(f"{r['n']:>5} {r['lam']:>5g} {kcut:>6} {r['us_per_point']:>10.2f} "
-              f"{r['terms_per_s'] / 1e6:>10.1f}")
+    print(f"{'n':>5} {'lam':>5} {'terms/point':>12} {'us/point':>10} {'Mterms/s':>10}")
+    for r in kernel:
+        print(f"{r['n']:>5} {r['lam']:>5g} {r['terms'] / POINTS:>12.1f} "
+              f"{r['us_per_point']:>10.2f} {r['terms_per_s'] / 1e6:>10.1f}")
+    locate = locate_rows()
+    print(f"locate_zeros, rho = {RHO:g}, window [-{HALF_SIDE}, {HALF_SIDE}]^2, "
+          f"median of {LOCATE_REPEATS}")
+    print(f"{'n':>5} {'lam':>5} {'seconds':>9} {'contour calls':>14} {'points':>9}")
+    for r in locate:
+        print(f"{r['n']:>5} {r['lam']:>5g} {r['seconds']:>9.3f} {r['contour_calls']:>14} "
+              f"{r['points']:>9}")
     out = {"label": label, "rho": RHO, "points": POINTS, "half_side": HALF_SIDE,
-           "repeats": REPEATS, "nproc": os.cpu_count(), "rows": rows}
+           "repeats": REPEATS, "locate_repeats": LOCATE_REPEATS, "nproc": os.cpu_count(),
+           "rows": kernel, "locate_rows": locate}
     with open(f"BENCH_{label}.json", "w") as fh:
         json.dump(out, fh, indent=1)
     return 0
