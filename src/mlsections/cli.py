@@ -169,11 +169,11 @@ def cmd_zeros(args) -> int:
     win = args.window
     warnings: list[str] = []
     if args.lam == 0:
-        recs = [r for r in poly_zeros(ctx, tol=args.tol) if win.contains(r.location)]
+        recs = [r for r in poly_zeros(ctx) if win.contains(r.location)]
         masked = 0
         winding = len(recs)
     else:
-        zs = locate_zeros(ctx, win, tol=args.tol)
+        zs = locate_zeros(ctx, win)
         recs = list(zs.records)
         masked = zs.masked_origin_multiplicity
         winding = zs.total_winding
@@ -190,7 +190,7 @@ def cmd_zeros(args) -> int:
         "rho": args.rho, "n": args.n,
         "lambda_re": args.lam.real, "lambda_im": args.lam.imag,
         "window": [win.re_min, win.re_max, win.im_min, win.im_max],
-        "tol": args.tol, "masked_origin_multiplicity": masked,
+        "masked_origin_multiplicity": masked,
         "warnings": warnings,
     }
     with _open_out(args.out) as f:
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--lambda", type=parse_lambda, default=0.0, dest="lam")
     pz.add_argument("--window", type=parse_window,
                     default=Window(-1.8, 1.8, -1.8, 1.8))
-    pz.add_argument("--tol", type=finite_float, default=1e-10)
     pz.add_argument("--strip-width", type=finite_float, default=None,
                     dest="strip_width")
     pz.add_argument("--out", default="-")

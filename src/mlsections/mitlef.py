@@ -32,6 +32,7 @@ series that needs more than MAX_TERMS terms raises TruncationError.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,8 +88,8 @@ class MLContext:
     def __post_init__(self):
         if not 1.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and >= 1, got {self.rho!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1 (R_0 is undefined)")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1 (R_0 is undefined), got {self.n!r}")
         object.__setattr__(self, "lam", complex(self.lam))
         if not cmath.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
@@ -455,7 +456,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     # sent to B up front (far) needs none past R_{n+1}: sorted by that
     # radius, largest first, each chunk takes the cutoff of its first row.
     lr_fwd = math.log(radius(n + 1, rho))
-    c_cut = None  # at b = 0, C's tail cutoff, found once when a point takes C
+    # the cutoff at each radius, found once per call: many chunks and C share R_{n+1}'s
+    cut = functools.cache(lambda lr: _peak_and_cutoff(lr, rho)[2])
     if b != 0:
         lr_far = max(math.log(MAX_TERMS / rho), math.log(-math.log(REL_TOL))) / rho
         lr_cut = np.where(logw.real > lr_far, lr_fwd, np.maximum(logw.real, lr_fwd))
@@ -467,7 +469,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     c_width = 0 if b != 0 else _first_scan_end(lr_fwd, rho) + TAIL_MARGIN - n
     c0 = 0
     while c0 < live.size:
-        width = n + 1 if b == 0 else _peak_and_cutoff(float(lr_cut[c0]), rho)[2] + 1
+        width = n + 1 if b == 0 else cut(float(lr_cut[c0])) + 1
         chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
         idx = live[c0:c0 + chunk]
         lw = logw[c0:c0 + chunk]
@@ -515,9 +517,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
                 floor[jb] = fl_b[use_b]
             if jc.size:
                 if b == 0:
-                    c_cut = c_cut or _peak_and_cutoff(lr_fwd, rho)[2]
-                    mt, _nu, st = _norm_sum(_log_terms(lw[jc].real, n + 1, c_cut + 1, rho, deriv),
-                                            lw[jc].imag, j0 + n + 1)
+                    logt_c = _log_terms(lw[jc].real, n + 1, cut(lr_fwd) + 1, rho, deriv)
+                    mt, _nu, st = _norm_sum(logt_c, lw[jc].imag, j0 + n + 1)
                 else:
                     mt, st = m_t[jc], s_t[jc]
                 e_log, e_ph = _ml_asym_batch(w[idx[jc]], rho, deriv)

@@ -478,8 +478,15 @@ def _grid(radius_: float, side: int) -> np.ndarray:
     return g[np.abs(g) <= radius_ + 1e-12]
 
 
+def _nonempty(**lists) -> None:
+    """A suite given an empty list would check nothing and pass: refuse it."""
+    if empty := [name for name, values in lists.items() if not len(values)]:
+        raise ValueError(f"{empty[0]} must not be empty")
+
+
 def suite_theorem1(rho: float = 2.0, lam: complex = 0.5,
                    n_list: tuple[int, ...] = (50, 200)) -> dict:
+    _nonempty(n_list=n_list)
     devs = []
     ok = True
     for n in n_list:
@@ -507,6 +514,7 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
 
     zero_sets, if given, maps n -> ZeroSet and skips relocating.
     """
+    _nonempty(n_list=n_list)
     window = Window(-1.8, 1.8, -1.8, 1.8)
     _check_region_rho(rho)  # before any zero is located
     violations = []
@@ -527,6 +535,7 @@ def suite_theorem2(rho: float = 2.0, lam: complex = 0.5,
 
 def suite_theorem3(rho: float = 2.0, lam: complex = 0.0,
                    n_list: tuple[int, ...] = (50, 100, 200)) -> dict:
+    _nonempty(n_list=n_list)
     # zeta = 0 (z = 1) rides last in each grid for the centre check at lam = 0
     zetas = np.append(_grid(2.0, THEOREM3_GRID_SIDE), 0.0)
     sups = []
@@ -566,6 +575,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
     metric_list holds the next-order sups at n_list[-1] and
     metric_list_leading the leading-order ones.
     """
+    _nonempty(lam_list=lam_list, n_list=n_list)
     zetas = _grid(1.5, THEOREM4_GRID_SIDE)
     frames = [theorem4_frames(rho, n) for n in n_list]
     metrics = []
@@ -599,6 +609,7 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
 
 
 def suite_kn(rho: float = 2.0, n_list: tuple[int, ...] = (20, 80)) -> dict:
+    _nonempty(n_list=n_list)
     devs = []
     for n in n_list:
         ctx = MLContext(rho=rho, n=n, lam=0.5)
@@ -612,6 +623,7 @@ def suite_kn(rho: float = 2.0, n_list: tuple[int, ...] = (20, 80)) -> dict:
 
 
 def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200)) -> dict:
+    _nonempty(n_list=n_list)
     for k, pts in _OMEGA_SAMPLES.items():  # the samples lie in their regions at rho = 2
         for z in pts:
             if not region_contains(z, k, rho):
@@ -652,6 +664,7 @@ def suite_lemma1(rho: float = 2.0,
                  r_list: tuple[float, ...] = (10.0, 30.0, 100.0, 300.0)) -> dict:
     """Outer-branch points approach the sector rays no slower than the
     explicit envelope (1 + rho log r) / (r^{rho-1} cos(pi/(2 rho)))."""
+    _nonempty(r_list=r_list)
     dists = []
     ok = True
     for r in r_list:

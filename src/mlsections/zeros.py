@@ -3,8 +3,9 @@
 For lam = 0 the combination is the polynomial section and all n roots are
 found at once by Aberth-Ehrlich simultaneous iteration.  Its Newton ratio
 comes from the scaled series kernel, never from polynomial coefficients,
-so n has no overflow limit, and each root stops once its step is at
-rounding level or |s_n| is within e^2 of the kernel's rounding floor.
+so n has no overflow limit.  It and the Newton polish below stop a root
+by one rule, MPSolve's, not by a tolerance: after a step at rounding level
+or one from where |I_n| was within e^2 of the kernel's rounding floor.
 The roots are certified by Gerschgorin inclusion disks built from the
 Weierstrass corrections (MPSolve's test: O(n^2) flops, one evaluation
 per root); a root whose disk is not isolated, or is too wide, falls back
@@ -79,6 +80,8 @@ class Window:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError(f"window edges must be finite, got {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window must have positive extent")
 
@@ -229,33 +232,42 @@ def winding_number(ctx: MLContext, rectangle: Window) -> int:
     return w
 
 
-def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float
+def _value(z: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|I_n|, arg I_n, log of its error floor) at R_n z."""
+    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, 1.0, -ctx.lam)
+
+
+def _stops(f_lm: np.ndarray, floor: np.ndarray, step: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Which roots stop after a step, in Aberth's iteration and Newton's alike:
+    a step of at most 1e-14 (1 + |z|), or one from where log|I_n| was within
+    2 of the kernel's rounding floor, below which steps follow the noise."""
+    return (f_lm <= floor + 2.0) | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z)))
+
+
+def _newton_polish(zs: np.ndarray, ctx: MLContext
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on the scaled evaluation, from each start in zs.
 
-    Returns arrays (root, ln|I| there, ok, uncertainty radius); each
+    Returns arrays (root, ln|I| there, ok, uncertainty radius).  Each
     iteration makes one value and one derivative call for the roots still
-    iterating.  Where the combination is a difference of exponentially large
-    parts, |I| bottoms out on the rounding-noise floor and the steps stagnate
-    above tol; the best iterate is then still accepted, with the stagnation
-    scale |I|_floor / |I'| reported as the uncertainty radius."""
+    iterating; a root stops by _stops, and its last step is its radius.
+    Where the kernel's floor under-claims the noise the steps stagnate, and
+    after NEWTON_MAX_ITER steps the best iterate is taken, its radius the
+    stagnation scale |I| / |I'| there.  ok: the radius is below 1e-6."""
     z = np.array(zs, dtype=complex)
-    res, ok, unc = np.full(z.size, -np.inf), np.ones(z.size, dtype=bool), np.zeros(z.size)
+    res, unc = np.full(z.size, -np.inf), np.zeros(z.size)
     best_lm, best_z, d_last = np.full(z.size, np.inf), z.copy(), np.zeros(z.size)
-    act, fin = np.arange(z.size), np.arange(0)  # iterating; converged, value pending
+    act, fin = np.arange(z.size), np.arange(0)  # iterating; stopped, value pending
     for it in range(NEWTON_MAX_ITER + 1):
         ids = np.concatenate([fin, act]) if it < NEWTON_MAX_ITER else fin
         if ids.size:
-            f_lm, f_ph = combo_batch(z[ids], ctx)
-            res[fin], f_lm, f_ph = f_lm[:fin.size], f_lm[fin.size:], f_ph[fin.size:]
+            res[ids], f_ph, floor = _value(z[ids], ctx)  # each root's latest value
+            f_lm, f_ph, floor = res[act], f_ph[fin.size:], floor[fin.size:]
         if it == NEWTON_MAX_ITER or not act.size:
             break
         live = f_lm > -np.inf  # an exact zero ends with res = -inf, ok, unc = 0
-        act, f_lm, f_ph = act[live], f_lm[live], f_ph[live]
+        act, f_lm, f_ph, floor = act[live], f_lm[live], f_ph[live], floor[live]
         d_lm, d_ph = combo_batch(z[act], ctx, deriv=True)
-        flat = d_lm == -np.inf
-        res[act[flat]], ok[act[flat]], unc[act[flat]] = f_lm[flat], False, np.inf
-        act, f_lm, f_ph, d_lm, d_ph = (x[~flat] for x in (act, f_lm, f_ph, d_lm, d_ph))
         b = f_lm < best_lm[act]
         best_lm[act[b]], best_z[act[b]], d_last[act[b]] = f_lm[b], z[act[b]], d_lm[b]
         step = np.exp(np.minimum(f_lm - d_lm, 100.0) + 1j * (f_ph - d_ph))
@@ -266,21 +278,21 @@ def _newton_polish(zs: np.ndarray, ctx: MLContext, tol: float
             r = zr != 0
             step[r] = step[r] * zr[r] / (zr[r] - (ctx.n + 1) * step[r])
         z[act] -= step
-        done = np.abs(step) < tol
+        done = _stops(f_lm, floor, step, z[act])
         unc[act[done]] = np.abs(step[done])
         fin, act = act[done], act[~done]
     unc[act] = np.exp(np.minimum(best_lm[act] - d_last[act], 100.0))
-    z[act], res[act], ok[act] = best_z[act], best_lm[act], unc[act] < 1e-6
-    return z, res, ok, unc
+    z[act], res[act] = best_z[act], best_lm[act]
+    return z, res, unc < 1e-6, unc
 
 
-def _start_side(zs: np.ndarray, tol: float, radius_unc: np.ndarray) -> np.ndarray:
-    """Half-side of the first certification box around each root: above both
-    the polish tolerance and the evaluation-noise radius."""
-    return np.maximum(max(10.0 * tol, 1e-9), np.maximum(np.abs(zs) * 1e-12, 50.0 * radius_unc))
+def _start_side(zs: np.ndarray, radius_unc: np.ndarray) -> np.ndarray:
+    """Half-side of the first certification box around each root: at least
+    1e-9, and above the evaluation-noise radius."""
+    return np.maximum(1e-9, np.maximum(np.abs(zs) * 1e-12, 50.0 * radius_unc))
 
 
-def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray) -> np.ndarray:
+def _certify(zs: np.ndarray, ctx: MLContext, radius_unc: np.ndarray) -> np.ndarray:
     """Whether a box around each root has winding number 1.
 
     Boxes start at _start_side and grow tenfold, up to four times, until the
@@ -288,7 +300,7 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
     cannot settle, but any box well below the inter-zero spacing still
     isolates a single zero.
     """
-    side = _start_side(zs, tol, radius_unc)
+    side = _start_side(zs, radius_unc)
     cert = np.zeros(zs.size, dtype=bool)
     todo = np.arange(zs.size)
     for _ in range(5):
@@ -304,11 +316,6 @@ def _certify(zs: np.ndarray, ctx: MLContext, tol: float, radius_unc: np.ndarray)
     return cert
 
 
-def _section(z: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log|s_n|, arg s_n, log of its error floor) at R_n z."""
-    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, 1.0, 0.0)
-
-
 def _log_lead(ctx: MLContext) -> float:
     """log of the leading coefficient R_n^n / Gamma(1 + n/rho) of s_n(R_n z)."""
     return ctx.n * math.log(ctx.radius_value) - ln_gamma(1.0 + ctx.n / ctx.rho)
@@ -317,20 +324,15 @@ def _log_lead(ctx: MLContext) -> float:
 def _aberth(ctx: MLContext, buf: np.ndarray) -> np.ndarray:
     """All n roots of s_n(R_n z) by Aberth-Ehrlich iteration on the scaled kernel.
 
-    Starts on the circle of the roots' geometric-mean modulus.  A root stops
-    once its step is below 1e-14 relative or its log|s_n| is within 2 of the
-    kernel's rounding floor; only the roots still iterating are evaluated.
+    Starts on the circle of the roots' geometric-mean modulus; a root stops
+    by _stops, and only the roots still iterating are evaluated.
     buf is the n x n scratch array of the pairwise reciprocals.
     """
     n = ctx.n
     act = np.arange(n)
     z = math.exp(-_log_lead(ctx) / n) * np.exp(1j * (2.0 * math.pi * act / n + 0.4 / n))
     for _ in range(400):
-        f_lm, f_ph, floor = _section(z[act], ctx)
-        live = f_lm > floor + 2.0
-        act, f_lm, f_ph = act[live], f_lm[live], f_ph[live]
-        if not act.size:
-            return z
+        f_lm, f_ph, floor = _value(z[act], ctx)
         d_lm, d_ph = combo_batch(z[act], ctx, deriv=True)
         newton = np.exp(np.minimum(f_lm - d_lm, 100.0) + 1j * (f_ph - d_ph))
         diff = np.subtract.outer(z[act], z, out=buf[:act.size])
@@ -338,7 +340,9 @@ def _aberth(ctx: MLContext, buf: np.ndarray) -> np.ndarray:
         denom = 1.0 - newton * np.sum(np.divide(1.0, diff, out=diff), axis=1)
         step = newton / np.where(denom == 0, 1e-300, denom)
         z[act] -= step
-        act = act[np.abs(step) > 1e-14 * (1.0 + np.abs(z[act]))]
+        act = act[~_stops(f_lm, floor, step, z[act])]
+        if not act.size:
+            return z
     warnings.warn(f"{act.size} Aberth roots neither converged nor reached the rounding floor",
                   ClusterWarning, stacklevel=3)
     return z
@@ -356,7 +360,7 @@ def _inclusion(ctx: MLContext, z: np.ndarray, cap: np.ndarray, buf: np.ndarray) 
     distances and their logs.
     """
     n = z.size
-    f_lm, _ph, floor = _section(z, ctx)
+    f_lm, _ph, floor = _value(z, ctx)
     dist, logd = buf.view(float).reshape(2, n, n)  # the complex buffer as two real halves
     np.subtract.outer(z.real, z.real, out=dist)
     np.subtract.outer(z.imag, z.imag, out=logd)
@@ -370,8 +374,8 @@ def _inclusion(ctx: MLContext, z: np.ndarray, cap: np.ndarray, buf: np.ndarray) 
     return (r <= cap) & (logd.min(axis=1) > r)
 
 
-def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
-                   radius_unc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, radius_unc: np.ndarray,
+                   buf: np.ndarray) -> np.ndarray:
     """Certified flags for n polished approximations z of the roots of s_n(R_n z).
 
     A root is certified by its inclusion disk when that is isolated and no
@@ -381,12 +385,12 @@ def _certify_roots(ctx: MLContext, z: np.ndarray, ok: np.ndarray, tol: float,
     the largest box it may grow to), so two points on one root are never
     both certified.
     """
-    cap = 1e4 * _start_side(z, tol, radius_unc)
+    cap = 1e4 * _start_side(z, radius_unc)
     cert = ok & _inclusion(ctx, z, cap, buf)
     rest = np.nonzero(ok & ~cert)[0]
     if rest.size:
         near = np.abs(np.subtract.outer(z[rest], z, out=buf[:rest.size])) < 1.5 * cap[rest, None]
-        cert[rest] = _certify(z[rest], ctx, tol, radius_unc[rest]) & (near.sum(axis=1) == 1)
+        cert[rest] = _certify(z[rest], ctx, radius_unc[rest]) & (near.sum(axis=1) == 1)
     return cert
 
 
@@ -397,26 +401,19 @@ def _sorted(records: list[ZeroRecord]) -> list[ZeroRecord]:
     return sorted(records, key=lambda rec: (round(rec.location.real, 8), rec.location.imag))
 
 
-def _check_tol(tol: float) -> None:
-    """The domain check shared by both locators."""
-    if not 1e-12 <= tol < math.inf:
-        raise ValueError(f"tol must be >= 1e-12 and finite, got {tol!r}")
-
-
-def poly_zeros(ctx: MLContext, tol: float = 1e-12) -> list[ZeroRecord]:
+def poly_zeros(ctx: MLContext) -> list[ZeroRecord]:
     """All n roots of the section s_n(R_n z): Aberth-Ehrlich iteration on the
     scaled kernel, Newton polish, then inclusion disks with a winding-count
-    fallback, each as one batch."""
+    fallback, each as one batch; both iterations stop a root by _stops."""
     if ctx.lam != 0:
         raise ValueError("poly_zeros requires lam = 0")
-    _check_tol(tol)
     buf = np.empty((ctx.n, ctx.n), dtype=complex)  # the one n x n array, reused
-    z, res, ok, runc = _newton_polish(_aberth(ctx, buf), ctx, tol)
-    cert = _certify_roots(ctx, z, ok, tol, runc, buf)
+    z, res, ok, runc = _newton_polish(_aberth(ctx, buf), ctx)
+    cert = _certify_roots(ctx, z, ok, runc, buf)
     return _sorted([ZeroRecord(complex(a), float(r), bool(c)) for a, r, c in zip(z, res, cert)])
 
 
-def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
+def locate_zeros(ctx: MLContext, window: Window) -> ZeroSet:
     """Quadtree subdivision by winding number with Newton polish, one level per pass.
 
     Each pass polishes every cell of winding 1 as one batch, from its first
@@ -429,9 +426,8 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
     Cells below the minimum cell size are reported unpolished with their
     count, as clusters.  The children of every other cell are counted as one
     batch, and a cell whose children miss its count is split again at a
-    shifted centre.
+    shifted centre.  The polish stops each root by _stops, not by a tolerance.
     """
-    _check_tol(tol)
     # lam = 1: winding runs on the origin-reduced function, so the known
     # multiplicity at 0 is reported directly rather than subdivided into.
     masked = ctx.n + 1 if ctx.lam == 1 and window.contains(0.0) else 0
@@ -455,7 +451,7 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
         kept = set()
         if one:
             starts = [m if cell.contains(m) else cell.center for _i, cell, m in one]
-            z, res, ok, runc = _newton_polish(np.array(starts), ctx, tol)
+            z, res, ok, runc = _newton_polish(np.array(starts), ctx)
             edges = np.array([[c.re_min, c.re_max, c.im_min, c.im_max] for _i, c, _m in one]).T
             margin = np.minimum.reduce([z.real - edges[0], edges[1] - z.real,
                                         z.imag - edges[2], edges[3] - z.imag])
@@ -463,10 +459,10 @@ def locate_zeros(ctx: MLContext, window: Window, tol: float = 1e-10) -> ZeroSet:
             small = diameter < POLISH_CELL_DIAMETER
             # a small cell's root may lie up to one diameter outside it
             cand = ok & np.where(small, margin >= -diameter,
-                                 margin > 1e4 * _start_side(z, tol, runc))
+                                 margin > 1e4 * _start_side(z, runc))
             cert = np.zeros(z.size, dtype=bool)
             if cand.any():
-                cert[cand] = _certify(z[cand], ctx, tol, runc[cand])
+                cert[cand] = _certify(z[cand], ctx, runc[cand])
             keep = cand & (cert | small)
             records.extend(ZeroRecord(complex(a), float(r), bool(c))
                            for a, r, c in zip(z[keep], res[keep], cert[keep]))

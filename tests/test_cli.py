@@ -134,22 +134,6 @@ def test_zeros_flags_uncertified_records(capsys, monkeypatch):
     assert [r["residual_log"] for r in data["records"]] == [None]
 
 
-def test_zeros_lambda0_passes_tol(capsys, monkeypatch):
-    import mlsections.cli as cli
-    seen = []
-
-    def fake_poly_zeros(ctx, tol=1e-12):
-        seen.append(tol)
-        return []
-
-    monkeypatch.setattr(cli, "poly_zeros", fake_poly_zeros)
-    code, out, _ = run(["zeros", "--rho", "2", "--n", "20", "--lambda", "0",
-                        "--window", "-2,2,-2,2", "--tol", "3e-11"], capsys)
-    assert code == 0
-    assert seen == [3e-11]
-    assert json.loads(out)["header"]["tol"] == 3e-11
-
-
 def test_zeros_lambda0_large_n_all_certified(capsys):
     code, out, _ = run(["zeros", "--rho", "2", "--n", "400", "--lambda", "0",
                         "--window", "-2,2,-2,2"], capsys)
@@ -285,12 +269,10 @@ def test_exit_code_invalid_parameters(capsys):
     code, _, _ = run(["zeros", "--rho", "2", "--n", "3", "--lambda", "0",
                       "--window", "1,-1,-1,1"], capsys)
     assert code == 2
-    # tol below the locators' domain, at lam = 0 (poly_zeros) as elsewhere
-    for lam in ("0", "0.5"):
-        code, _, err = run(["zeros", "--rho", "2", "--n", "10", "--lambda", lam,
-                            "--window", "-1,1,-1,1", "--tol", "1e-14"], capsys)
-        assert code == 2
-        assert "tol must be >= 1e-12" in err
+    # the locators take no tolerance: --tol is not an option
+    code, _, err = run(["zeros", "--n", "10", "--tol", "1e-10"], capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,8 +282,6 @@ def test_exit_code_invalid_parameters(capsys):
     ["curve", "--which", "sh", "--h", "nan"],
     ["curve", "--r-max", "nan"],
     ["zeros", "--n", "5", "--strip-width", "nan"],
-    ["zeros", "--n", "5", "--tol", "nan"],
-    ["zeros", "--n", "5", "--tol", "inf"],
 ], ids="-".join)
 def test_exit_code_non_finite_number(capsys, argv):
     code, out, err = run(argv, capsys)

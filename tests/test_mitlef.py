@@ -417,6 +417,10 @@ def test_context_validation():
         MLContext(rho=0.8, n=5)
     with pytest.raises(ValueError):
         MLContext(rho=2.0, n=0)
+    for n in (10.5, 10.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            MLContext(rho=2.0, n=n)
+    assert MLContext(rho=2.0, n=np.int64(10)).radius_value == radius(10, 2.0)
     for rho, lam in ((math.inf, 0.5), (math.nan, 0.5), (2.0, math.nan), (2.0, complex(0.5, math.inf))):
         with pytest.raises(ValueError, match="must be finite"):
             MLContext(rho=rho, n=5, lam=lam)

@@ -1,6 +1,7 @@
 """Tests for the asymptotic-law verification suites and their frames."""
 
 import cmath
+import inspect
 import math
 import warnings
 
@@ -300,6 +301,18 @@ def test_suite_reports_shape():
     rep = suite_theorem3(n_list=(50, 100))
     assert rep["pass"] is True
     assert rep["metric_list"][1] < rep["metric_list"][0]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_suite_rejects_an_empty_list(suite):
+    """A suite given an empty list would check nothing and pass, or fail
+    on an index: every list parameter must be non-empty."""
+    run = verify.SUITES[suite]
+    lists = [name for name in inspect.signature(run).parameters if name.endswith("_list")]
+    assert lists
+    for name in lists:
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            run(**{name: ()})
 
 
 # Each case fails one check of its suite: a reversed n list fails the trend

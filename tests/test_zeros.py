@@ -10,7 +10,7 @@ import pytest
 
 from mlsections.mitlef import MLContext, radius
 from mlsections.specfun import ln_gamma
-from mlsections import zeros
+from mlsections import mitlef, zeros
 from mlsections.zeros import (
     BoundaryZeroError,
     Window,
@@ -108,10 +108,10 @@ def test_poly_zeros_n196_against_oracle():
     assert max(_oracle_newton_distance(rho, n, locs)) < 1e-8
 
 
-def _polished_roots(rho, n, tol=1e-12):
+def _polished_roots(rho, n):
     ctx = MLContext(rho=rho, n=n, lam=0.0)
     roots = _aberth(ctx, np.empty((n, n), dtype=complex))
-    z, _res, ok, unc = _newton_polish(roots, ctx, tol)
+    z, _res, ok, unc = _newton_polish(roots, ctx)
     assert ok.all()
     return ctx, z, unc
 
@@ -119,9 +119,9 @@ def _polished_roots(rho, n, tol=1e-12):
 @pytest.mark.parametrize("rho,n", [(2.0, 50), (4.0, 25), (1.5, 60)])
 def test_inclusion_disks_agree_with_winding(rho, n):
     ctx, z, unc = _polished_roots(rho, n)
-    cap = 1e4 * _start_side(z, 1e-12, unc)
+    cap = 1e4 * _start_side(z, unc)
     by_disk = _inclusion(ctx, z, cap, np.empty((n, n), dtype=complex))
-    by_winding = _certify(z, ctx, 1e-12, unc)
+    by_winding = _certify(z, ctx, unc)
     assert by_disk.all()
     assert np.array_equal(by_disk, by_winding)
 
@@ -134,7 +134,7 @@ def test_duplicated_root_falls_back_and_is_uncertified():
     z[7] = z[3]
     buf = np.empty((n, n), dtype=complex)
     assert not _inclusion(ctx, z, np.full(n, np.inf), buf).any()
-    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), 1e-12, unc, buf)
+    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), unc, buf)
     assert not cert[3] and not cert[7]
     assert cert.sum() == n - 2
 
@@ -148,11 +148,37 @@ def test_shifted_root_is_not_certified_past_the_radius_cap():
     z[11] += 1e-4
     buf = np.empty((n, n), dtype=complex)
     assert _inclusion(ctx, z, np.full(n, np.inf), buf).all()
-    cap = 1e4 * _start_side(z, 1e-12, unc)
+    cap = 1e4 * _start_side(z, unc)
     assert not _inclusion(ctx, z, cap, buf)[11]
-    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), 1e-12, unc, buf)
+    cert = _certify_roots(ctx, z, np.ones(n, dtype=bool), unc, buf)
     assert not cert[11]
     assert cert.sum() == n - 1
+
+
+def test_poly_zeros_newton_pass_stops_on_the_floor(monkeypatch):
+    """Aberth's roots already meet the stop rule the Newton polish shares
+    with it, so the polish after Aberth takes a few kernel calls, not the
+    60 of NEWTON_MAX_ITER rounds."""
+    calls, newton = [], []
+    kernel, polish = zeros._series_kernel, zeros._newton_polish
+
+    def counted_kernel(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    def counted_polish(*args):
+        before = len(calls)
+        out = polish(*args)
+        newton.append(len(calls) - before)
+        return out
+
+    # zeros calls the kernel under its own name and through combo_batch
+    monkeypatch.setattr(zeros, "_series_kernel", counted_kernel)
+    monkeypatch.setattr(mitlef, "_series_kernel", counted_kernel)
+    monkeypatch.setattr(zeros, "_newton_polish", counted_polish)
+    recs = poly_zeros(MLContext(rho=2.0, n=101, lam=0.0))
+    assert len(recs) == 101 and all(r.certified for r in recs)
+    assert len(newton) == 1 and newton[0] <= 4
 
 
 def test_poly_zeros_large_n():
@@ -265,15 +291,15 @@ def test_batched_polish_and_certify_match_one_at_a_time(lam):
     near = [r.location + 1e-3 for r in locate_zeros(ctx, WINDOW).records[:6]]
     starts = np.concatenate([near, rng.uniform(-1.5, 1.5, 10) + 1j * rng.uniform(-1.5, 1.5, 10),
                              [0.0]])
-    z, res, ok, unc = _newton_polish(starts, ctx, 1e-10)
+    z, res, ok, unc = _newton_polish(starts, ctx)
     cert = np.zeros(len(starts), dtype=bool)
-    cert[ok] = _certify(z[ok], ctx, 1e-10, unc[ok])
+    cert[ok] = _certify(z[ok], ctx, unc[ok])
     assert ok[:len(near)].all() and cert[:len(near)].all()
     for k, z0 in enumerate(starts):
-        z1, res1, ok1, unc1 = _newton_polish(np.array([z0]), ctx, 1e-10)
+        z1, res1, ok1, unc1 = _newton_polish(np.array([z0]), ctx)
         assert ok1[0] == ok[k]
         if ok1[0]:
-            assert _certify(z1, ctx, 1e-10, unc1)[0] == cert[k]
+            assert _certify(z1, ctx, unc1)[0] == cert[k]
         assert (z1[0], res1[0], unc1[0]) == (z[k], res[k], unc[k])
 
 
@@ -413,21 +439,14 @@ def test_poly_zeros_requires_lam0():
         poly_zeros(MLContext(rho=2.0, n=10, lam=0.5))
 
 
-def test_locators_share_tol_domain():
-    ctx = MLContext(rho=2.0, n=10)
-    with pytest.raises(ValueError, match="tol must be >= 1e-12"):
-        poly_zeros(ctx, tol=1e-13)
-    with pytest.raises(ValueError, match="tol must be >= 1e-12"):
-        locate_zeros(MLContext(rho=2.0, n=10, lam=0.5), Window(-1.0, 1.0, -1.0, 1.0), tol=1e-13)
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be >= 1e-12"):
-            poly_zeros(ctx, tol=tol)
-    assert len(poly_zeros(ctx, tol=1e-12)) == 10
-
-
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(1.0, -1.0, 0.0, 1.0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Window(bad, 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        Window(-1.0, 1.0, -1.0, math.inf)
     w = Window(-1.0, 1.0, -1.0, 1.0)
     assert w.center == 0.0
     assert w.contains(0.5 + 0.5j) and not w.contains(2.0)

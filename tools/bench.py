@@ -10,9 +10,17 @@ point, terms per point and terms per second.
 locate_zeros: times locate_zeros on the same window at rho = 2, for n in
 {20, 100} and lam in {0, 0.5, 1}, the median of 3 timed calls after one
 untimed call, during which the _contour_integrals calls and the points
-evaluated by combo_batch are counted by wrapping them.
+evaluated by the series kernel (mitlef._series_kernel) are counted by
+wrapping them.
 
-Both tables go, with nproc, to BENCH_<label>.json in the working directory.
+poly_zeros: times poly_zeros at rho = 2 for n in {100, 200, 600}, the median
+of 3 timed calls after one untimed call, during which the series-kernel
+calls and the points they evaluate are counted by wrapping
+mitlef._series_kernel, in total and inside the Newton pass
+(zeros._newton_polish).
+
+The three tables go, with nproc, to BENCH_<label>.json in the working
+directory.
 
 Run from the repository root:  PYTHONPATH=src python3 tools/bench.py LABEL
 """
@@ -39,12 +47,14 @@ LAMS = (0.0, 0.5, 1.0)
 REPEATS = 5
 LOCATE_NS = (20, 100)
 LOCATE_REPEATS = 3
+POLY_NS = (100, 200, 600)
 
 
 @contextlib.contextmanager
-def _counting(module, name: str, size):
-    """Count the calls of module.name, and the sum of size(*args) over them."""
-    inner = getattr(module, name)
+def _counting(modules: tuple, name: str, size):
+    """Count the calls of name, one function under that name in each of
+    modules, and the sum of size(*args) over them."""
+    inner = getattr(modules[0], name)
     tally = {"calls": 0, "size": 0}
 
     def wrapper(*args, **kwargs):
@@ -52,11 +62,13 @@ def _counting(module, name: str, size):
         tally["size"] += size(*args)
         return inner(*args, **kwargs)
 
-    setattr(module, name, wrapper)
+    for module in modules:
+        setattr(module, name, wrapper)
     try:
         yield tally
     finally:
-        setattr(module, name, inner)
+        for module in modules:
+            setattr(module, name, inner)
 
 
 def _median_seconds(call, repeats: int) -> float:
@@ -73,7 +85,7 @@ def kernel_rows(zs: np.ndarray) -> list[dict]:
     for n in NS:
         for lam in LAMS:
             ctx = MLContext(RHO, n, lam)
-            with _counting(mitlef, "_log_terms",
+            with _counting((mitlef,), "_log_terms",
                            lambda lr, k0, k1, *_: np.size(lr) * (k1 - k0)) as terms:
                 combo_batch(zs, ctx)
             sec = _median_seconds(lambda: combo_batch(zs, ctx), REPEATS)
@@ -88,12 +100,39 @@ def locate_rows() -> list[dict]:
     for n in LOCATE_NS:
         for lam in LAMS:
             ctx = MLContext(RHO, n, lam)
-            with _counting(zeros, "_contour_integrals", lambda _ctx, rects: len(rects)) as contours:
-                with _counting(zeros, "combo_batch", lambda zs, *_: np.size(zs)) as evals:
+            with _counting((zeros,), "_contour_integrals", lambda _ctx, rects: len(rects)) as contours:
+                # zeros calls the kernel under its own name and through combo_batch
+                with _counting((mitlef, zeros), "_series_kernel", lambda w, *_: np.size(w)) as evals:
                     zeros.locate_zeros(ctx, window)
             sec = _median_seconds(lambda: zeros.locate_zeros(ctx, window), LOCATE_REPEATS)
             rows.append({"n": n, "lam": lam, "seconds": sec,
                          "contour_calls": contours["calls"], "points": evals["size"]})
+    return rows
+
+
+def poly_rows() -> list[dict]:
+    rows = []
+    for n in POLY_NS:
+        ctx = MLContext(RHO, n, 0.0)
+        polish, newton = zeros._newton_polish, {}
+        # zeros calls the kernel under its own name and through combo_batch
+        with _counting((mitlef, zeros), "_series_kernel", lambda w, *_: np.size(w)) as kernel:
+
+            def counted_polish(*args):
+                before = dict(kernel)
+                out = polish(*args)
+                newton.update((key, kernel[key] - before[key]) for key in kernel)
+                return out
+
+            zeros._newton_polish = counted_polish
+            try:
+                zeros.poly_zeros(ctx)
+            finally:
+                zeros._newton_polish = polish
+        sec = _median_seconds(lambda: zeros.poly_zeros(ctx), LOCATE_REPEATS)
+        rows.append({"n": n, "seconds": sec, "kernel_calls": kernel["calls"],
+                     "points": kernel["size"], "newton_calls": newton["calls"],
+                     "newton_points": newton["size"]})
     return rows
 
 
@@ -118,9 +157,17 @@ def main(argv: list[str]) -> int:
     for r in locate:
         print(f"{r['n']:>5} {r['lam']:>5g} {r['seconds']:>9.3f} {r['contour_calls']:>14} "
               f"{r['points']:>9}")
+    poly = poly_rows()
+    print(f"poly_zeros, rho = {RHO:g}, median of {LOCATE_REPEATS}; kernel calls and points,"
+          f" in total and in the Newton pass")
+    print(f"{'n':>5} {'seconds':>9} {'calls':>7} {'points':>9} {'Newton calls':>13} "
+          f"{'Newton points':>14}")
+    for r in poly:
+        print(f"{r['n']:>5} {r['seconds']:>9.3f} {r['kernel_calls']:>7} {r['points']:>9} "
+              f"{r['newton_calls']:>13} {r['newton_points']:>14}")
     out = {"label": label, "rho": RHO, "points": POINTS, "half_side": HALF_SIDE,
            "repeats": REPEATS, "locate_repeats": LOCATE_REPEATS, "nproc": os.cpu_count(),
-           "rows": kernel, "locate_rows": locate}
+           "rows": kernel, "locate_rows": locate, "poly_rows": poly}
     with open(f"BENCH_{label}.json", "w") as fh:
         json.dump(out, fh, indent=1)
     return 0
