@@ -27,7 +27,7 @@ from .curves import (
 )
 from .mitlef import MLContext
 from .verify import SUITES
-from .zeros import Window, ZeroRecord, locate_zeros, poly_zeros, strip_filter
+from .zeros import Window, locate_zeros, poly_zeros, strip_filter
 
 _FMT = ".15g"  # all numeric output at 15 significant digits
 
@@ -181,8 +181,8 @@ def cmd_zeros(args) -> int:
         if captured != winding:
             warnings.append(
                 f"partial: {captured} of {winding} windings resolved")
-        if any(not r.certified for r in recs):
-            warnings.append("uncertified records present")
+    if any(not r.certified for r in recs):
+        warnings.append("uncertified records present")
     if args.strip_width is not None:
         kept, filtered = strip_filter(recs, args.rho, args.strip_width)
         recs = kept + filtered

@@ -284,22 +284,24 @@ def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
     this expansion is exponentially accurate.  Returns (log_mag, phase).
     """
     wv = np.asarray(wv, dtype=complex)
-    k = np.arange(1, _ASYM_TERMS + 1, dtype=float)
+    coefs = _asym_coefs(rho)
+    # a zero coefficient adds nothing to the sum and never ends it: leave it out
+    k = np.flatnonzero(coefs) + 1.0
     winv = 1.0 / wv
-    terms = _asym_coefs(rho)[None, :] * winv[:, None] ** k[None, :]
+    terms = coefs[coefs != 0] * winv[:, None] ** k
     if deriv:
         # d/dw of -sum c_k w^{-k} is +sum k c_k w^{-k-1}
-        terms = terms * k[None, :] * winv[:, None]
+        terms = terms * k * winv[:, None]
     mags = np.abs(terms)
-    # optimal truncation: stop at the first strict growth over the running
-    # minimum of nonzero magnitudes (zero coefficients are transparent)
-    prev_min = np.minimum.accumulate(np.where(mags > 0, mags, np.inf), axis=1)
-    prev_min = np.concatenate([np.full((len(wv), 1), np.inf), prev_min[:, :-1]], axis=1)
-    diverged = (mags > prev_min) & (mags > 0)
-    stop = np.where(diverged.any(axis=1), diverged.argmax(axis=1), _ASYM_TERMS)
-    csum = np.cumsum(terms, axis=1)
-    alg = np.take_along_axis(csum, np.maximum(stop - 1, 0)[:, None], axis=1)[:, 0]
-    alg = np.where(stop > 0, alg, 0.0)
+    # optimal truncation: the sum ends before the first strict growth over
+    # the running minimum of nonzero magnitudes, or after the last term
+    run_min = np.minimum.accumulate(np.where(mags > 0, mags, np.inf), axis=1)
+    ends = np.zeros((len(wv), k.size + 1), dtype=bool)
+    ends[:, 1:-1] = mags[:, 1:] > run_min[:, :-1]
+    ends[:, -1] = True
+    csum = np.zeros((len(wv), k.size + 1), dtype=complex)
+    np.cumsum(terms, axis=1, out=csum[:, 1:])
+    alg = csum[np.arange(len(wv)), ends.argmax(axis=1)]
     if not deriv:
         alg = -alg
 
@@ -391,12 +393,15 @@ def combo_normalized_batch(zs: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, 
 
 
 _LOG_EPS = math.log(2.0 ** -52)
-# elements of the widest row array one _series_kernel chunk builds
+# elements of the widest row array the kernel builds at once: each series
+# chunk, each block of the C-route tail and each block of _ml_asym_batch rows
 _CHUNK_ELEMENTS = 1 << 14
 # glibc maps each block above its mmap threshold (128 KiB at start) to fresh pages
 # and raises the threshold to the first such block freed: this 1 MiB one keeps the
 # ~128 KiB real chunk arrays on the heap, instead of page faults on every chunk
 np.empty(1 << 17)
+# rows per _ml_asym_batch call: its complex (rows, <= _ASYM_TERMS + 1) arrays stay within budget
+_ASYM_ROWS = _CHUNK_ELEMENTS // (2 * (_ASYM_TERMS + 1))
 # A is suspect once its error floor comes within e^13.8 (~1e6) of its value
 _SUSPECT_GAP = 13.8
 
@@ -425,11 +430,17 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
     to eps of its own size before it is exponentiated.  A is used unless it
     is suspect (its floor within e^13.8 of its value) and B or C promises a
-    lower floor.  T is computed only where it is read: always when b != 0,
-    otherwise on the points routed to C.  When b != 0, a point whose central
-    index rho |w|^rho exceeds MAX_TERMS, and where B's remainder
-    e^{-|w|^rho} is below REL_TOL, takes B and does not set a cutoff;
-    past the budget every other point still raises TruncationError.
+    lower floor.  When b != 0, a point whose central index rho |w|^rho
+    exceeds MAX_TERMS, and where B's remainder e^{-|w|^rho} is below
+    REL_TOL, takes B and does not set a cutoff; past the budget every other
+    point still raises TruncationError.
+
+    The work runs in two stages.  First the points are summed in chunks of
+    at most _CHUNK_ELEMENTS terms, which only fill per-call arrays of S
+    (and of T when b != 0).  Then the floors, the route choice and the B
+    and C evaluations run once for the whole call, on every point that
+    needs them: at b = 0 T is summed only for the points routed to C, and
+    E_asym only for those routed to B or C, in blocks of the same budget.
     """
     a, b = complex(a), complex(b)
     la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
@@ -463,72 +474,91 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
         lr_cut = np.where(logw.real > lr_far, lr_fwd, np.maximum(logw.real, lr_fwd))
         order = np.argsort(-lr_cut, kind="stable")
         live, logw, lr_cut = live[order], logw[order], lr_cut[order]
-    # chunks are sized from the widest row array built: the series rows, the
-    # asymptotic rows, or the C-route tail to (about) the R_{n+1} cutoff,
-    # which a b != 0 row already covers
-    c_width = 0 if b != 0 else _first_scan_end(lr_fwd, rho) + TAIL_MARGIN - n
+
+    # stage 1: the chunks only sum, S and (b != 0) T
+    sums = []
     c0 = 0
     while c0 < live.size:
         width = n + 1 if b == 0 else cut(float(lr_cut[c0])) + 1
-        chunk = max(1, _CHUNK_ELEMENTS // max(width, c_width, _ASYM_TERMS))
-        idx = live[c0:c0 + chunk]
-        lw = logw[c0:c0 + chunk]
-        c0 += chunk
+        lw = logw[c0:c0 + _chunk_rows(width)]
+        c0 += lw.size
         logt = _log_terms(lw.real, 0, width, rho, deriv)
-        m_s, nu_s, s_s = _norm_sum(logt[:, :n + 1], lw.imag, j0)
-        fl_s = _eps_floor(m_s, nu_s, lw, rho)
-        if b != 0:
-            m_t, nu_t, s_t = _norm_sum(logt[:, n + 1:], lw.imag, j0 + n + 1)
-            val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
-            floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, lw, rho))
-            # a far row stops short of its cutoff: A has no floor there, and B serves
-            floor[lw.real > lr_far] = np.inf
-        else:
-            val_log, val_ph = _combine((a, s_s, m_s))
-            floor = la + fl_s
+        sums.append(_norm_sum(logt[:, :n + 1], lw.imag, j0)
+                    + (_norm_sum(logt[:, n + 1:], lw.imag, j0 + n + 1) if b != 0 else ()))
         del logt
+    m_s, nu_s, s_s, *t_sums = _joined(sums)
 
-        suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
-        j = np.nonzero(suspect)[0]
-        if j.size:
-            lwj = lw[j]
-            # log of E_asym's error: eps max(1, |w|^rho) times its exponential
-            # part; for rho > 1 also eps times its first algebraic term (for E,
-            # |w|^-1 / |Gamma(1 - 1/rho)|) and its remainder e^{-|w|^rho}
-            lr = lwj.real
-            e_err = _LOG_EPS + np.maximum(0.0, rho * lr) + _asym_exp(lr, lwj.imag, rho, deriv)[0]
-            if rho > 1:
-                e_alg = _LOG_EPS - (2.0 if deriv else 1.0) * lr + math.log(rgamma(1.0 - 1.0 / rho))
-                with np.errstate(over="ignore"):
-                    e_err = np.logaddexp(e_err, np.logaddexp(e_alg, -np.exp(rho * lr)))
-            fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.full(j.size, np.inf)
-            first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
-            forward = lwj.real <= lr_fwd
-            fl_c = np.where(forward,
-                            np.logaddexp(lab + e_err, la + _eps_floor(first, n + 1, lwj, rho)),
-                            np.inf)
-            use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
-            use_c = (fl_c < floor[j]) & (fl_c < fl_b)
-            jb, jc = j[use_b], j[use_c]
-            if jb.size:
-                e_log, e_ph = _ml_asym_batch(w[idx[jb]], rho, deriv)
-                val_log[jb], val_ph[jb] = _combine((a, s_s[jb], m_s[jb]),
-                                                   (b, np.exp(1j * e_ph), e_log))
-                floor[jb] = fl_b[use_b]
-            if jc.size:
-                if b == 0:
-                    logt_c = _log_terms(lw[jc].real, n + 1, cut(lr_fwd) + 1, rho, deriv)
-                    mt, _nu, st = _norm_sum(logt_c, lw[jc].imag, j0 + n + 1)
-                else:
-                    mt, st = m_t[jc], s_t[jc]
-                e_log, e_ph = _ml_asym_batch(w[idx[jc]], rho, deriv)
-                val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
-                                                   (-a, st, mt))
-                floor[jc] = fl_c[use_c]
-        out_log[idx] = val_log
-        out_ph[idx] = val_ph
-        out_floor[idx] = floor
+    # stage 2: floors and routes, once per call
+    fl_s = _eps_floor(m_s, nu_s, logw, rho)
+    if b != 0:
+        m_t, nu_t, s_t = t_sums
+        val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
+        floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, logw, rho))
+        # a far row stops short of its cutoff: A has no floor there, and B serves
+        floor[logw.real > lr_far] = np.inf
+    else:
+        val_log, val_ph = _combine((a, s_s, m_s))
+        floor = la + fl_s
+    suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
+    j = np.nonzero(suspect)[0]
+    if j.size:
+        lwj = logw[j]
+        # log of E_asym's error: eps max(1, |w|^rho) times its exponential
+        # part; for rho > 1 also eps times its first algebraic term (for E,
+        # |w|^-1 / |Gamma(1 - 1/rho)|) and its remainder e^{-|w|^rho}
+        lr = lwj.real
+        e_err = _LOG_EPS + np.maximum(0.0, rho * lr) + _asym_exp(lr, lwj.imag, rho, deriv)[0]
+        if rho > 1:
+            e_alg = _LOG_EPS - (2.0 if deriv else 1.0) * lr + math.log(rgamma(1.0 - 1.0 / rho))
+            with np.errstate(over="ignore"):
+                e_err = np.logaddexp(e_err, np.logaddexp(e_alg, -np.exp(rho * lr)))
+        fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.full(j.size, np.inf)
+        first = _log_terms(lr, n + 1, n + 2, rho, deriv)[:, 0]
+        fl_c = np.where(lr <= lr_fwd,
+                        np.logaddexp(lab + e_err, la + _eps_floor(first, n + 1, lwj, rho)),
+                        np.inf)
+        use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
+        use_c = (fl_c < floor[j]) & (fl_c < fl_b)
+        jb, jc = j[use_b], j[use_c]
+        if jb.size:
+            e_log, e_ph = _in_blocks(_ml_asym_batch, w[live[jb]], _ASYM_ROWS, rho, deriv)
+            val_log[jb], val_ph[jb] = _combine((a, s_s[jb], m_s[jb]),
+                                               (b, np.exp(1j * e_ph), e_log))
+            floor[jb] = fl_b[use_b]
+        if jc.size:
+            if b == 0:
+                k1 = cut(lr_fwd) + 1
+                mt, _nu, st = _in_blocks(
+                    lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho, deriv), lw.imag,
+                                         j0 + n + 1),
+                    logw[jc], _chunk_rows(k1 - n - 1))
+            else:
+                mt, st = m_t[jc], s_t[jc]
+            e_log, e_ph = _in_blocks(_ml_asym_batch, w[live[jc]], _ASYM_ROWS, rho, deriv)
+            val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
+                                               (-a, st, mt))
+            floor[jc] = fl_c[use_c]
+    out_log[live] = val_log
+    out_ph[live] = val_ph
+    out_floor[live] = floor
     return out_log, out_ph, out_floor
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of series rows width terms wide: the terms, and the
+    (at least 4 _PHASE_BLOCK reals wide) phase tables of _norm_sum, stay
+    within _CHUNK_ELEMENTS."""
+    return max(1, _CHUNK_ELEMENTS // max(width, 4 * _PHASE_BLOCK))
+
+
+def _in_blocks(f, x: np.ndarray, rows: int, *args) -> tuple:
+    """The arrays f(x, *args) returns, computed on blocks of at most rows entries of x."""
+    return _joined([f(x[i:i + rows], *args) for i in range(0, x.size, rows)])
+
+
+def _joined(parts: list) -> tuple:
+    """Each array of the per-block tuples in parts, joined across the blocks."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _kernel_at(w: complex, n: int, rho: float, a: complex, b: complex

@@ -33,7 +33,7 @@ from .mitlef import (MLContext, combo_batch, combo_normalized, combo_normalized_
                      ml_series, radius)
 from .curves import (REGION_DELTA2, REGION_DELTA3, REGION_H, REGIONS, _check_region_rho,
                      asymptote_distance, phase_u, region_contains, szego_sigma)
-from .zeros import Window, locate_zeros, strip_filter
+from .zeros import Window, locate_zeros
 
 # Calibrated absolute thresholds (frozen after pre-runs; trend checks carry
 # the actual burden of proof).

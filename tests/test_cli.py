@@ -134,6 +134,17 @@ def test_zeros_flags_uncertified_records(capsys, monkeypatch):
     assert [r["residual_log"] for r in data["records"]] == [None]
 
 
+def test_zeros_lambda0_flags_uncertified_records(capsys, monkeypatch):
+    import mlsections.cli as cli
+    from mlsections.zeros import ZeroRecord
+    monkeypatch.setattr(cli, "poly_zeros", lambda ctx: [ZeroRecord(0.5 + 0.5j, -40.0, False)])
+    code, out, _ = run(["zeros", "--n", "20", "--lambda", "0"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["header"]["warnings"] == ["uncertified records present"]
+    assert [r["certified"] for r in data["records"]] == [False]
+
+
 def test_zeros_lambda0_large_n_all_certified(capsys):
     code, out, _ = run(["zeros", "--rho", "2", "--n", "400", "--lambda", "0",
                         "--window", "-2,2,-2,2"], capsys)

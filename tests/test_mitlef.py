@@ -375,6 +375,65 @@ def test_combo_batch_rows_do_not_depend_on_the_batch(lam):
             assert one[0][0] == full[0][i] and one[1][0] == full[1][i]
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_mixed_routes_match_one_point_calls(lam, monkeypatch):
+    """A batch that mixes routes gives each point the value, phase and floor
+    of its one-point call, bit for bit.  The routes are read off the B and C
+    floors: at lam = 0 B's is infinite, so a point that reaches
+    _ml_asym_batch takes C; past R_{n+1} C's is, so a point there that
+    reaches it takes B."""
+    rho, n = 2.0, 100
+    rng = np.random.default_rng(5)
+    z = np.concatenate([[60.0], rng.uniform(-1.8, 1.8, 400) + 1j * rng.uniform(-1.8, 1.8, 400)])
+    w = radius(n, rho) * z
+    inner, asym = mitlef._ml_asym_batch, []
+
+    def spy(wv, *args):
+        asym.extend(wv)
+        return inner(wv, *args)
+
+    monkeypatch.setattr(mitlef, "_ml_asym_batch", spy)
+    batch = np.stack(mitlef._series_kernel(w, n, rho, 1.0, -lam))
+    routed = np.isin(w, asym)
+    assert not routed.all()  # some points take A
+    if lam == 0:
+        assert routed.any()  # and some take C
+    else:
+        assert (routed & (np.abs(w) > radius(n + 1, rho))).any()  # and some take B
+    for i in range(w.size):
+        one = np.stack(mitlef._series_kernel(w[i:i + 1], n, rho, 1.0, -lam))
+        assert np.array_equal(one[:, 0], batch[:, i])
+
+
+def test_kernel_row_arrays_stay_within_the_chunk_budget(monkeypatch):
+    """Each block of series rows and C-route tail rows (_log_terms) and of
+    asymptotic rows (_ml_asym_batch, complex) the kernel builds holds at
+    most _CHUNK_ELEMENTS reals.  The one-column first tail term of the
+    suspect points is a per-point array, like the call's outputs, and is
+    not held to the budget."""
+    sizes = {"series": [], "asym": []}
+    log_terms, asym = mitlef._log_terms, mitlef._ml_asym_batch
+
+    def terms(lr, k0, k1, *args):
+        if k1 - k0 > 1:
+            sizes["series"].append(np.size(lr) * (k1 - k0))
+        return log_terms(lr, k0, k1, *args)
+
+    def asym_rows(wv, *args):
+        sizes["asym"].append(2 * mitlef._ASYM_TERMS * np.size(wv))
+        return asym(wv, *args)
+
+    monkeypatch.setattr(mitlef, "_log_terms", terms)
+    monkeypatch.setattr(mitlef, "_ml_asym_batch", asym_rows)
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-1.8, 1.8, 4000) + 1j * rng.uniform(-1.8, 1.8, 4000)
+    for lam in (0.0, 0.5):
+        for deriv in (False, True):
+            combo_batch(zs, MLContext(2.0, 100, lam), deriv)
+    assert sizes["series"] and sizes["asym"]
+    assert max(sizes["series"] + sizes["asym"]) <= mitlef._CHUNK_ELEMENTS
+
+
 def test_combo_normalized_definition_and_regime():
     # At lam=1 the exponentially large part of E drops out of the
     # normalized combination and the limit is the geometric-tail value

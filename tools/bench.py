@@ -4,8 +4,9 @@ combo_batch: times combo_batch on 4,000 seeded points, uniform in
 [-1.8, 1.8]^2, at rho = 2, for n in {20, 100, 300} and lam in {0, 0.5, 1}.
 Each cell is the median of 5 timed calls after one untimed call, during
 which the series terms the kernel builds are counted by wrapping
-mitlef._log_terms (its cutoff scans included).  It prints microseconds per
-point, terms per point and terms per second.
+mitlef._log_terms (its cutoff scans included), and its chunks by wrapping
+mitlef._norm_sum (one call per chunk and sum).  It prints microseconds per
+point, terms per point, terms per second and _norm_sum calls.
 
 locate_zeros: times locate_zeros on the same window at rho = 2, for n in
 {20, 100} and lam in {0, 0.5, 1}, the median of 3 timed calls after one
@@ -17,7 +18,7 @@ poly_zeros: times poly_zeros at rho = 2 for n in {100, 200, 600}, the median
 of 3 timed calls after one untimed call, during which the series-kernel
 calls and the points they evaluate are counted by wrapping
 mitlef._series_kernel, in total and inside the Newton pass
-(zeros._newton_polish).
+(zeros._newton_polish), and the mitlef._norm_sum calls per kernel call.
 
 The three tables go, with nproc, to BENCH_<label>.json in the working
 directory.
@@ -86,11 +87,13 @@ def kernel_rows(zs: np.ndarray) -> list[dict]:
         for lam in LAMS:
             ctx = MLContext(RHO, n, lam)
             with _counting((mitlef,), "_log_terms",
-                           lambda lr, k0, k1, *_: np.size(lr) * (k1 - k0)) as terms:
+                           lambda lr, k0, k1, *_: np.size(lr) * (k1 - k0)) as terms, \
+                    _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums:
                 combo_batch(zs, ctx)
             sec = _median_seconds(lambda: combo_batch(zs, ctx), REPEATS)
             rows.append({"n": n, "lam": lam, "terms": terms["size"],
-                         "us_per_point": 1e6 * sec / zs.size, "terms_per_s": terms["size"] / sec})
+                         "us_per_point": 1e6 * sec / zs.size, "terms_per_s": terms["size"] / sec,
+                         "norm_sums": sums["calls"]})
     return rows
 
 
@@ -116,7 +119,8 @@ def poly_rows() -> list[dict]:
         ctx = MLContext(RHO, n, 0.0)
         polish, newton = zeros._newton_polish, {}
         # zeros calls the kernel under its own name and through combo_batch
-        with _counting((mitlef, zeros), "_series_kernel", lambda w, *_: np.size(w)) as kernel:
+        with _counting((mitlef, zeros), "_series_kernel", lambda w, *_: np.size(w)) as kernel, \
+                _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums:
 
             def counted_polish(*args):
                 before = dict(kernel)
@@ -132,7 +136,8 @@ def poly_rows() -> list[dict]:
         sec = _median_seconds(lambda: zeros.poly_zeros(ctx), LOCATE_REPEATS)
         rows.append({"n": n, "seconds": sec, "kernel_calls": kernel["calls"],
                      "points": kernel["size"], "newton_calls": newton["calls"],
-                     "newton_points": newton["size"]})
+                     "newton_points": newton["size"],
+                     "norm_sums_per_call": sums["calls"] / kernel["calls"]})
     return rows
 
 
@@ -146,10 +151,11 @@ def main(argv: list[str]) -> int:
     kernel = kernel_rows(zs)
     print(f"combo_batch, rho = {RHO:g}, {POINTS} points in [-{HALF_SIDE}, {HALF_SIDE}]^2, "
           f"median of {REPEATS}, nproc = {os.cpu_count()}")
-    print(f"{'n':>5} {'lam':>5} {'terms/point':>12} {'us/point':>10} {'Mterms/s':>10}")
+    print(f"{'n':>5} {'lam':>5} {'terms/point':>12} {'us/point':>10} {'Mterms/s':>10} "
+          f"{'_norm_sum calls':>16}")
     for r in kernel:
         print(f"{r['n']:>5} {r['lam']:>5g} {r['terms'] / POINTS:>12.1f} "
-              f"{r['us_per_point']:>10.2f} {r['terms_per_s'] / 1e6:>10.1f}")
+              f"{r['us_per_point']:>10.2f} {r['terms_per_s'] / 1e6:>10.1f} {r['norm_sums']:>16}")
     locate = locate_rows()
     print(f"locate_zeros, rho = {RHO:g}, window [-{HALF_SIDE}, {HALF_SIDE}]^2, "
           f"median of {LOCATE_REPEATS}")
@@ -161,10 +167,10 @@ def main(argv: list[str]) -> int:
     print(f"poly_zeros, rho = {RHO:g}, median of {LOCATE_REPEATS}; kernel calls and points,"
           f" in total and in the Newton pass")
     print(f"{'n':>5} {'seconds':>9} {'calls':>7} {'points':>9} {'Newton calls':>13} "
-          f"{'Newton points':>14}")
+          f"{'Newton points':>14} {'_norm_sum/call':>15}")
     for r in poly:
         print(f"{r['n']:>5} {r['seconds']:>9.3f} {r['kernel_calls']:>7} {r['points']:>9} "
-              f"{r['newton_calls']:>13} {r['newton_points']:>14}")
+              f"{r['newton_calls']:>13} {r['newton_points']:>14} {r['norm_sums_per_call']:>15.2f}")
     out = {"label": label, "rho": RHO, "points": POINTS, "half_side": HALF_SIDE,
            "repeats": REPEATS, "locate_repeats": LOCATE_REPEATS, "nproc": os.cpu_count(),
            "rows": kernel, "locate_rows": locate, "poly_rows": poly}
