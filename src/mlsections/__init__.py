@@ -17,7 +17,7 @@ from .scaled import (
     sc_add,
     sc_sub,
 )
-from .specfun import ln_gamma, erfc
+from .specfun import ln_gamma
 from .mitlef import (
     MLContext,
     radius,
@@ -29,6 +29,7 @@ from .mitlef import (
     combo_normalized,
     combo_derivative,
     combo_batch,
+    erfc,
 )
 from .curves import (
     SzegoBranch,

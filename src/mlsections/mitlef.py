@@ -19,7 +19,8 @@ combo is the mixed section/tail combination
 combo, section, tail and ml_series are all a s_n(w) + b E(w) for one
 coefficient pair, (1, -lam), (1, 0), (-1, 1) and (0, 1), and are evaluated
 by one kernel (_series_kernel) that picks, per point, between the direct
-sum and two forms that take E from its asymptotic expansion.  The kernel
+sum and two forms that take E from its integral representation
+(_e_integral), by their error floors.  The kernel
 exponentiates only the real log-magnitudes of the series terms; the phase
 e^{i k arg w} of term k is the product of two entries of short per-point
 tables, built by repeated multiplication (_norm_sum).
@@ -56,6 +57,7 @@ __all__ = [
     "combo_derivative",
     "combo_batch",
     "combo_normalized_batch",
+    "erfc",
 ]
 
 
@@ -225,6 +227,15 @@ def _peak_and_cutoff(lr: float, rho: float) -> tuple[float, int, int]:
         k0, hi = hi, 2 * hi
 
 
+@functools.lru_cache(maxsize=256)
+def _cutoff(lr: float, rho: float, policy: tuple) -> int:
+    """_peak_and_cutoff's cutoff, kept across calls under policy =
+    (REL_TOL, MAX_TERMS, TAIL_MARGIN): the benchmark's locate, roots and
+    pointwise repetitions each re-read every cutoff they need (246, 138
+    and 393 scans per repetition with a per-call cache)."""
+    return _peak_and_cutoff(lr, rho)[2]
+
+
 def _first_scan_end(lr: float, rho: float) -> int:
     """End of the first cutoff-scan chunk at |w| = e^lr (see _peak_and_cutoff)."""
     est = rho * math.exp(min(rho * lr, math.log(MAX_TERMS)))
@@ -233,9 +244,19 @@ def _first_scan_end(lr: float, rho: float) -> int:
 
 
 def ml_series(z: complex, rho: float) -> ScaledComplex:
-    """E(z) from its power series, or from the asymptotic expansion where
-    the series cancels below its rounding floor."""
+    """E(z) from its power series, or from its integral representation where
+    that has the lower error floor."""
     return _kernel_at(z, 0, rho, 0.0, 1.0)[0]
+
+
+def erfc(zeta):
+    """Complementary error function on the complex plane, scalar or array:
+    erfc(zeta) = 1 - (2/sqrt(pi)) int_0^zeta e^{-v^2} dv = e^{-zeta^2} E(-zeta)
+    at rho = 2, with E from the series kernel."""
+    zt = np.asarray(zeta, dtype=complex)
+    log_mag, phase, _floor = _series_kernel(-zt.ravel(), 0, 2.0, 0.0, 1.0)
+    val = np.exp(log_mag - (zt * zt).ravel() + 1j * phase).reshape(zt.shape)
+    return complex(val) if val.ndim == 0 else val
 
 
 ASYMPTOTIC_FLOOR = 5.0  # empirical validity floor for the (2.2)-style expansion
@@ -261,66 +282,155 @@ def ml_asymptotic(z: complex, rho: float) -> ScaledComplex:
     return alg
 
 
-_ASYM_COEF_CACHE: dict[float, np.ndarray] = {}
-_ASYM_TERMS = 80
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16- and 32-point Gauss-Legendre rules on
+    [-1, 1], concatenated (the 16-point rule first): Newton's method on P_m
+    from cos(pi (i - 1/4) / (m + 1/2)), P_m and P_m' by their recurrence,
+    weights 2 / ((1 - x^2) P_m'(x)^2).  No eigensolver, so numpy.polynomial
+    stays unloaded."""
+    rules = []
+    for m in (16, 32):
+        x = np.cos(math.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+        for step in range(9):
+            p0, p1 = np.ones(m), x
+            for k in range(2, m + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+            x = x - p1 / dp if step < 8 else x
+        rules.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-def _asym_coefs(rho: float) -> np.ndarray:
-    """1/Gamma(1 - k/rho) for k = 1 .. _ASYM_TERMS (0 where 1 - k/rho <= 0 is an integer)."""
-    coefs = _ASYM_COEF_CACHE.get(rho)
-    if coefs is None:
-        coefs = _ASYM_COEF_CACHE[rho] = rgamma(1.0 - np.arange(1, _ASYM_TERMS + 1) / rho)
-    return coefs
+# (rho, deriv) -> the quadrature of _e_integral (_e_table)
+_E_TABLES: dict[tuple[float, bool], tuple] = {}
+# the end of the first s-panel of that quadrature
+_E_S0 = 0.45
 
 
-def _ml_asym_batch(wv: np.ndarray, rho: float, deriv: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """E(w) (or E'(w)) from the full asymptotic expansion, per point.
+def _e_table(rho: float, deriv: bool) -> tuple:
+    """(phi, chi^2, 2 cos(pi/rho) chi, weights, (q + 1)/(q - 1)): the
+    quadrature of _e_integral on the ray arg chi = phi.
 
-    rho e^{w^rho} (included where the principal branch applies,
-    |arg w| <= pi/rho) minus sum_k w^{-k}/Gamma(1 - k/rho), each divergent
-    tail truncated at its smallest term.  Used where direct summation dies
-    of cancellation: that requires |w|^rho large, which is exactly where
-    this expansion is exponentially accurate.  Returns (log_mag, phase).
+    phi = pi/(4 rho), where e^{-chi^rho} decays as e^{-|chi|^rho/sqrt(2)};
+    below rho = 3/2, half of pi - pi/rho, the lowest a pole comes to the
+    upper ray from above (pi/(4 rho) meets it at rho = 5/4).  chi =
+    e^{i phi} s^2 takes the branch point of e^{-chi^rho} out of 0; where
+    2 rho is not an integer, e^{-s^{2 rho}} keeps one, and [0, _E_S0] is cut
+    into panels that shrink by 4 toward 0.  Past _E_S0 the s-panels grow by
+    q = 1 + phi, span at most 16 of s^{2 rho} and end at Re chi^rho = 46;
+    16 Gauss-Legendre nodes each.  As phi -> 0 that would take 1/phi panels,
+    so a panel may grow by up to 9/8 while e^{-chi^rho} stays near 1 on its
+    Bernstein ellipse of b = 1 + sqrt 2 (which reaches e^{1.2 log q} times
+    its start: |s|^{2 rho} <= 1/4 there), and below rho = 3/2 everywhere
+    (e^{-chi^rho} grows only at |arg s| >= pi/4 there).  This binds only
+    past rho = 2 pi and below rho = 1.08, and keeps a row within 28 panels
+    from rho = 1 to 1e9.  The pole bound of _e_integral reads the last
+    entry at the coarsest ratio, q = 1 + max(phi, 1/8).
     """
-    wv = np.asarray(wv, dtype=complex)
-    coefs = _asym_coefs(rho)
-    # a zero coefficient adds nothing to the sum and never ends it: leave it out
-    k = np.flatnonzero(coefs) + 1.0
-    winv = 1.0 / wv
-    terms = coefs[coefs != 0] * winv[:, None] ** k
+    tab = _E_TABLES.get((rho, deriv))
+    if tab is None:
+        phi = min(math.pi / (4.0 * rho), 0.5 * (math.pi - math.pi / rho))
+        q, s_max = 1.0 + max(phi, 0.125), (46.0 / math.cos(rho * phi)) ** (0.5 / rho)
+        ends = [0.0, _E_S0] if (2.0 * rho).is_integer() else [0.0] + [_E_S0 / 4.0 ** j
+                                                                        for j in (3, 2, 1, 0)]
+        while ends[-1] < s_max:
+            e = ends[-1]
+            flat = 0.125 if rho < 1.5 else math.expm1(-(math.log(4.0) / rho + 2.0 * math.log(e)) / 2.4)
+            ends.append(min((1.0 + max(phi, min(0.125, flat))) * e,
+                            (e ** (2.0 * rho) + 16.0) ** (0.5 / rho)))
+        ends = np.array(ends)
+        mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+        x, wt = (r[:16] for r in _gauss_legendre())
+        s, ds = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
+        ray = cmath.exp(1j * phi)
+        chi, chi_rho = ray * s * s, s ** (2.0 * rho) * cmath.exp(1j * rho * phi)
+        k = rho * math.sin(math.pi / rho) / math.pi
+        # e^{-chi^rho} dchi times K's constant (for E', rho chi^rho (rho/pi) sin(pi/rho))
+        wts = np.exp(-chi_rho) * 2.0 * ray * s * ds * (rho * k * chi_rho if deriv else -k)
+        tab = _E_TABLES[(rho, deriv)] = (phi, chi * chi, 2.0 * math.cos(math.pi / rho) * chi,
+                                          wts, (q + 1.0) / (q - 1.0))
+    return tab
+
+
+def _e_integral(w: np.ndarray, rho: float, deriv: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E(w) (or E'(w)) at each nonzero point of the 1-D array w, as
+    (log_mag, phase, log_err), log_err a bound on its error from w alone.
+
+    Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002) 491):
+    E(w) = rho e^{w^rho} [where |arg w| <= pi/rho] plus the integral of
+    -(rho/pi) sin(pi/rho) w e^{-chi^rho} / D over chi in [0, inf), with
+    D = (chi - w e^{i pi/rho})(chi - w e^{-i pi/rho}); for E' = rho E_{1/rho,1/rho},
+    rho^2 w^{rho-1} e^{w^rho} and (rho^2/pi) sin(pi/rho) chi^rho e^{-chi^rho} / D.
+    The integral is turned onto the ray of _e_table, away from the pole
+    w e^{-i pi/rho}, which crosses no pole: points with 0 <= arg w <= pi/rho
+    or arg w < -pi/rho take the upper ray, the others, by
+    E(conj w) = conj E(w), are conjugated onto it.  At rho = 1 E = e^w.
+
+    The exponential part is rounded to eps (2 + the size of its exponent's
+    terms), the integral to 8 rho eps of its size, at most 1 (E) or |w|^-1,
+    |w|^-2 (E').  A simple pole of residue R at Bernstein parameter b from a
+    panel costs its 16 nodes about 2 pi |R| b^-33.  A pole at angle g from
+    the real s-axis is at b >= e^{asinh(y)}, y = sin(g) (q + 1)/(q - 1), from
+    the panel below it, and 5 b^-33 bounds the sum over the panels.  So the
+    quadrature error is 40 e^{-33 asinh(y)} times the residue of each of the
+    two poles that come near the ray, rho e^{-p^rho} (for E' times
+    rho |w|^{rho-1}): one at g = (phi + ||arg w| - pi/rho|)/2, with
+    Re p^rho = -|w|^rho cos(rho arg w), one across the negative axis at
+    g >= (2 pi - |arg w| - pi/rho - phi)/2, with rho (2 pi - |arg w|) in
+    place of rho arg w.  A pole past the sector where e^{-chi^rho} decays
+    counts at its edge, Re p^rho = 0: the integrand on the ray never sees
+    its growth.  Below |w| = (1.5 _E_S0)^2 the poles crowd the first panel,
+    and the bound is +inf.  Where q's floor binds, y can fall below 1 (to
+    0 as rho -> 1); the bound then tends to 40 times the residue, which
+    held against mpmath from rho = 1 + 1e-6 to 1.05 and at rho = 7 to 50.
+    """
+    lr, theta = np.log(np.abs(w)), np.arctan2(w.imag, w.real)
+    alr, ath = np.abs(lr), np.abs(theta)
+    rp, cos = np.exp(rho * lr), np.cos(rho * theta)
+    le, pe = rp * cos + math.log(rho), rp * np.sin(rho * theta)
     if deriv:
-        # d/dw of -sum c_k w^{-k} is +sum k c_k w^{-k-1}
-        terms = terms * k * winv[:, None]
-    mags = np.abs(terms)
-    # optimal truncation: the sum ends before the first strict growth over
-    # the running minimum of nonzero magnitudes, or after the last term
-    run_min = np.minimum.accumulate(np.where(mags > 0, mags, np.inf), axis=1)
-    ends = np.zeros((len(wv), k.size + 1), dtype=bool)
-    ends[:, 1:-1] = mags[:, 1:] > run_min[:, :-1]
-    ends[:, -1] = True
-    csum = np.zeros((len(wv), k.size + 1), dtype=complex)
-    np.cumsum(terms, axis=1, out=csum[:, 1:])
-    alg = csum[np.arange(len(wv)), ends.argmax(axis=1)]
-    if not deriv:
-        alg = -alg
+        le += math.log(rho) + (rho - 1.0) * lr
+        pe += (rho - 1.0) * theta
+    le[ath > math.pi / rho] = -np.inf
+    err = np.log(rp * (1.0 + rho * (alr + ath)) + (rho - 1.0) * alr + (2.0 + 2.0 * math.log(rho)))
+    err += le + _LOG_EPS
+    if rho == 1.0:
+        return le, pe, err
+    phi, _chi2, _chi_c, wts, c = _e_table(rho, deriv)
+    a = math.pi / rho
+    near = -33.0 * np.arcsinh(c * np.sin(0.5 * (phi + np.abs(ath - a)))) \
+        - rp * np.maximum(-cos, 0.0)
+    far = -33.0 * np.arcsinh(c * np.sin(0.5 * (2.0 * math.pi - a - phi - ath))) \
+        - rp * np.maximum(-np.cos(rho * (2.0 * math.pi - ath)), 0.0)
+    res = math.log(40.0 * rho) + ((math.log(rho) + (rho - 1.0) * lr) if deriv else 0.0)
+    err = np.logaddexp(np.logaddexp(err, res + np.logaddexp(near, far)),
+                       _LOG_EPS + math.log(8.0 * rho) - (2.0 if deriv else 1.0) * np.maximum(lr, 0.0))
+    err[lr < 2.0 * math.log(1.5 * _E_S0)] = np.inf
+    down = (theta < 0) == (ath <= a)
+    wf = np.where(down, w.conj(), w)
+    # rows per _e_sum call: its complex (rows, nodes) array stays within _CHUNK_ELEMENTS reals
+    rows = max(1, _CHUNK_ELEMENTS // (2 * wts.size))
+    val = np.concatenate([_e_sum(wf[i:i + rows], rho, deriv) for i in range(0, w.size, rows)])
+    val = np.where(down, val.conj(), val)
+    base = np.maximum(le, 0.0)
+    total = np.exp(le - base + 1j * pe) + val * np.exp(-base)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(total)) + base, np.arctan2(total.imag, total.real), err
 
-    le, pe = _asym_exp(np.log(np.abs(wv)), np.angle(wv), rho, deriv)
-    return _combine((1.0, np.exp(1j * pe), le), (1.0, alg, np.zeros(len(wv))))
 
-
-def _asym_exp(lr: np.ndarray, theta: np.ndarray, rho: float, deriv: bool
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(log_mag, phase) of rho e^{w^rho} (or its w-derivative) at w = e^lr e^{i theta},
-    the exponential part of _ml_asym_batch; log_mag is -inf outside |arg w| <= pi/rho."""
-    rp = np.exp(rho * lr)
-    le = rp * np.cos(rho * theta) + math.log(rho)
-    pe = rp * np.sin(rho * theta)
-    if deriv:
-        # d/dw of rho e^{w^rho} = rho^2 w^{rho-1} e^{w^rho}
-        le = le + math.log(rho) + (rho - 1.0) * lr
-        pe = pe + (rho - 1.0) * theta
-    return np.where(np.abs(theta) <= math.pi / rho, le, -np.inf), pe
+def _e_sum(wf: np.ndarray, rho: float, deriv: bool) -> np.ndarray:
+    """The integral of _e_integral at points wf of the upper ray's side: one
+    complex rational per node, each row its own (1, nodes) @ (nodes, 1)
+    product, so a row's sum does not depend on the number of rows."""
+    chi2, chi_c, wts = _e_table(rho, deriv)[1:4]
+    d = np.multiply.outer(wf, -chi_c)
+    d += chi2
+    d += (wf * wf)[:, None]
+    val = np.matmul(np.reciprocal(d, out=d)[:, None, :], wts[:, None])[:, 0, 0]
+    # out of place: numpy rounds an in-place product of one element apart
+    return val if deriv else val * wf
 
 
 def section(z: complex, ctx: MLContext) -> ScaledComplex:
@@ -394,16 +504,15 @@ def combo_normalized_batch(zs: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, 
 
 _LOG_EPS = math.log(2.0 ** -52)
 # elements of the widest row array the kernel builds at once: each series
-# chunk, each block of the C-route tail and each block of _ml_asym_batch rows
+# chunk, each block of the C-route tail and each block of E rows (_e_sum)
 _CHUNK_ELEMENTS = 1 << 14
 # glibc maps each block above its mmap threshold (128 KiB at start) to fresh pages
 # and raises the threshold to the first such block freed: this 1 MiB one keeps the
 # ~128 KiB real chunk arrays on the heap, instead of page faults on every chunk
 np.empty(1 << 17)
-# rows per _ml_asym_batch call: its complex (rows, <= _ASYM_TERMS + 1) arrays stay within budget
-_ASYM_ROWS = _CHUNK_ELEMENTS // (2 * (_ASYM_TERMS + 1))
-# A is suspect once its error floor comes within e^13.8 (~1e6) of its value
-_SUSPECT_GAP = 13.8
+# A is suspect once its error floor comes within e^23 (~1e-10) of its value: the
+# cheapest gap that left no pointwise benchmark point above 1e-10 (e^20 left 2)
+_SUSPECT_GAP = 23.0
 
 
 def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
@@ -417,30 +526,32 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     and split at column n into the normalized sums S = s_n and T = t_{n+1},
     which give three representations with different error floors:
 
-      A  (a+b) S + b T          direct sum: eps-part of S and T
-      B  a S + b E_asym         eps-part of S, |b| times E_asym's error
-      C  (a+b) E_asym - a T     |a+b| times E_asym's error, eps-part of the
-                                first tail term; only while |w| <= R_{n+1},
-                                where the tail terms decrease from k = n+1 on
+      A  (a+b) S + b T     direct sum: eps-part of S and T
+      B  a S + b E         eps-part of S, |b| times E's error
+      C  (a+b) E - a T     |a+b| times E's error, eps-part of the first tail
+                           term; only while |w| <= R_{n+1}, where the tail
+                           terms decrease from k = n+1 on
 
-    E_asym's error is its rounding and, for rho > 1, its remainder; at
-    rho = 1 E_asym is e^w exactly.
+    E and its error come from its integral representation (_e_integral):
+    the error is its rounding and a bound on the quadrature error, +inf at
+    small |w|.  At rho = 1 E is e^w and its error its rounding.
 
     The eps-part of a sum is eps * max(1, |log-term|) * (largest term): the
     log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
-    to eps of its own size before it is exponentiated.  A is used unless it
-    is suspect (its floor within e^13.8 of its value) and B or C promises a
-    lower floor.  When b != 0, a point whose central index rho |w|^rho
-    exceeds MAX_TERMS, and where B's remainder e^{-|w|^rho} is below
-    REL_TOL, takes B and does not set a cutoff; past the budget every other
-    point still raises TruncationError.
+    to eps of its own size before it is exponentiated.  A point is suspect
+    once A's floor comes within e^_SUSPECT_GAP of its value, and at a = 0,
+    where the value is E itself, every point is; at a suspect point the
+    lowest floor wins, ties to A.  When b != 0, a point whose
+    central index rho |w|^rho exceeds MAX_TERMS, and where e^{-|w|^rho} is
+    below REL_TOL, takes B and does not set a cutoff; past the budget every
+    other point still raises TruncationError.
 
     The work runs in two stages.  First the points are summed in chunks of
     at most _CHUNK_ELEMENTS terms, which only fill per-call arrays of S
     (and of T when b != 0).  Then the floors, the route choice and the B
     and C evaluations run once for the whole call, on every point that
-    needs them: at b = 0 T is summed only for the points routed to C, and
-    E_asym only for those routed to B or C, in blocks of the same budget.
+    needs them: E and its error at the suspect points, and, at b = 0, T
+    only at the points routed to C, in blocks of the same budget.
     """
     a, b = complex(a), complex(b)
     la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
@@ -467,8 +578,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     # sent to B up front (far) needs none past R_{n+1}: sorted by that
     # radius, largest first, each chunk takes the cutoff of its first row.
     lr_fwd = math.log(radius(n + 1, rho))
-    # the cutoff at each radius, found once per call: many chunks and C share R_{n+1}'s
-    cut = functools.cache(lambda lr: _peak_and_cutoff(lr, rho)[2])
+    policy = (REL_TOL, MAX_TERMS, TAIL_MARGIN)
     if b != 0:
         lr_far = max(math.log(MAX_TERMS / rho), math.log(-math.log(REL_TOL))) / rho
         lr_cut = np.where(logw.real > lr_far, lr_fwd, np.maximum(logw.real, lr_fwd))
@@ -479,7 +589,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     sums = []
     c0 = 0
     while c0 < live.size:
-        width = n + 1 if b == 0 else cut(float(lr_cut[c0])) + 1
+        width = n + 1 if b == 0 else _cutoff(float(lr_cut[c0]), rho, policy) + 1
         lw = logw[c0:c0 + _chunk_rows(width)]
         c0 += lw.size
         logt = _log_terms(lw.real, 0, width, rho, deriv)
@@ -499,49 +609,46 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     else:
         val_log, val_ph = _combine((a, s_s, m_s))
         floor = la + fl_s
-    suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP)
-    j = np.nonzero(suspect)[0]
+    # at a = 0 the value is E itself, and every point is suspect
+    j = np.nonzero((val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP) | (a == 0))[0]
     if j.size:
+        # E and its floor at every suspect point, in one pass
         lwj = logw[j]
-        # log of E_asym's error: eps max(1, |w|^rho) times its exponential
-        # part; for rho > 1 also eps times its first algebraic term (for E,
-        # |w|^-1 / |Gamma(1 - 1/rho)|) and its remainder e^{-|w|^rho}
-        lr = lwj.real
-        e_err = _LOG_EPS + np.maximum(0.0, rho * lr) + _asym_exp(lr, lwj.imag, rho, deriv)[0]
-        if rho > 1:
-            e_alg = _LOG_EPS - (2.0 if deriv else 1.0) * lr + math.log(rgamma(1.0 - 1.0 / rho))
-            with np.errstate(over="ignore"):
-                e_err = np.logaddexp(e_err, np.logaddexp(e_alg, -np.exp(rho * lr)))
-        fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.full(j.size, np.inf)
-        first = _log_terms(lr, n + 1, n + 2, rho, deriv)[:, 0]
-        fl_c = np.where(lr <= lr_fwd,
-                        np.logaddexp(lab + e_err, la + _eps_floor(first, n + 1, lwj, rho)),
-                        np.inf)
-        use_b = (fl_b < floor[j]) & (fl_b <= fl_c)
-        use_c = (fl_c < floor[j]) & (fl_c < fl_b)
+        e_log, e_ph, e_err = _e_integral(w[live[j]], rho, deriv)
+        fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.inf
+        first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
+        fl_c = la + _eps_floor(first, n + 1, lwj, rho)
+        if a + b != 0:
+            fl_c = np.logaddexp(lab + e_err, fl_c)
+        fl_c = np.where(lwj.real <= lr_fwd, fl_c, np.inf)
+        use_b, use_c = _routes(floor[j], fl_b, fl_c)
         jb, jc = j[use_b], j[use_c]
         if jb.size:
-            e_log, e_ph = _in_blocks(_ml_asym_batch, w[live[jb]], _ASYM_ROWS, rho, deriv)
             val_log[jb], val_ph[jb] = _combine((a, s_s[jb], m_s[jb]),
-                                               (b, np.exp(1j * e_ph), e_log))
+                                               (b, np.exp(1j * e_ph[use_b]), e_log[use_b]))
             floor[jb] = fl_b[use_b]
         if jc.size:
             if b == 0:
-                k1 = cut(lr_fwd) + 1
+                k1 = _cutoff(lr_fwd, rho, policy) + 1
                 mt, _nu, st = _in_blocks(
                     lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho, deriv), lw.imag,
                                          j0 + n + 1),
                     logw[jc], _chunk_rows(k1 - n - 1))
             else:
                 mt, st = m_t[jc], s_t[jc]
-            e_log, e_ph = _in_blocks(_ml_asym_batch, w[live[jc]], _ASYM_ROWS, rho, deriv)
-            val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
+            val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph[use_c]), e_log[use_c]),
                                                (-a, st, mt))
             floor[jc] = fl_c[use_c]
     out_log[live] = val_log
     out_ph[live] = val_ph
     out_floor[live] = floor
     return out_log, out_ph, out_floor
+
+
+def _routes(fl_a: np.ndarray, fl_b, fl_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which points B and which C serve, from the three floors: the lowest
+    floor wins, ties to A, then to B."""
+    return (fl_b < fl_a) & (fl_b <= fl_c), (fl_c < fl_a) & (fl_c < fl_b)
 
 
 def _chunk_rows(width: int) -> int:

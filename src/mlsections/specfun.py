@@ -1,9 +1,8 @@
-"""Special functions: real log-gamma, reciprocal gamma and complex erfc.
+"""Special functions: real log-gamma and reciprocal gamma.
 
 ln Gamma (x > 0 only) and 1/Gamma (exactly 0 at x = 0, -1, -2, ...) come
-from math.lgamma and math.gamma; erfc alone needs SciPy, imported on its
-first call.  erfc(z) = 1 - (2/sqrt(pi)) int_0^z exp(-v^2) dv, so erfc(0) = 1
-and erfc(+inf) = 0.
+from math.lgamma and math.gamma.  The complex erfc is mitlef.erfc, from the
+Mittag-Leffler function of order 2.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ln_gamma", "ln_gamma_arr", "rgamma", "erfc"]
+__all__ = ["ln_gamma", "ln_gamma_arr", "rgamma"]
 
 
 def ln_gamma(x: float) -> float:
@@ -33,9 +32,3 @@ def rgamma(x):
         return np.vectorize(rgamma, otypes=[float])(x)
     return 0.0 if x <= 0.0 and float(x).is_integer() else 1.0 / math.gamma(x)
 
-
-def erfc(zeta):
-    """Complementary error function on the complex plane, scalar or array."""
-    from scipy import special
-    val = special.erfc(np.asarray(zeta, dtype=complex))
-    return complex(val) if val.ndim == 0 else val

@@ -276,10 +276,9 @@ def test_outer_branch_approaches_asymptote():
 
 
 
-def test_import_loads_scipy_only_for_erfc():
-    """The package, its evaluators, zero locators, curves and every suite
-    but Theorem 3 run without SciPy; scipy.special, for the complex erfc of
-    the Theorem 3 profile, is loaded on its first use."""
+def test_no_entry_point_loads_scipy():
+    """The package, its evaluators and erfc, the zero locators, the curves
+    and every verification suite run without SciPy."""
     src = os.path.dirname(os.path.dirname(mlsections.__file__))
     code = ("import sys, mlsections, mlsections.verify, mlsections.cli\n"
             "from mlsections import MLContext, Window\n"
@@ -288,15 +287,14 @@ def test_import_loads_scipy_only_for_erfc():
             "mlsections.tail(0.5, ctx)\n"
             "mlsections.ml_series(2.0 + 1.0j, 2.0)\n"
             "mlsections.ml_asymptotic(6.0 + 1.0j, 2.0)\n"
+            "mlsections.erfc(1.0 + 1.0j)\n"
             "mlsections.locate_zeros(ctx, Window(-1.8, 1.8, -1.8, 1.8))\n"
             "mlsections.poly_zeros(MLContext(rho=2.0, n=20, lam=0.0))\n"
             "mlsections.szego_curve(2.0, 50)\n"
             "mlsections.s_h_level_r(0.5, 2.0, 0.2, 'outer')\n"
-            "mlsections.verify.suite_kn()\n"
-            "mlsections.verify.suite_theorem4()\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "mlsections.verify.suite_theorem3()\n"
-            "print('scipy.special' in sys.modules)")
+            "for suite in mlsections.verify.SUITES.values():\n"
+            "    suite()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.split("\n")[0] == "[]"

@@ -33,6 +33,7 @@ from mlsections.scaled import ScaledComplex, sc_sub, sc_to_complex
 from mlsections.specfun import ln_gamma
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "series_asym.json")
+E_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "e_integral.json")
 
 
 def _rel(a: ScaledComplex, b: ScaledComplex) -> float:
@@ -273,6 +274,70 @@ def test_series_matches_golden_everywhere():
         assert _rel(got, ref) <= 1e-5, (e["rho"], e["re"], e["im"])
 
 
+def test_e_integral_floor_holds_against_mpmath():
+    """E and E' from _e_integral against mpmath (tools/gen_goldens.py), at
+    rho in {1.1, 1.25, 1.5, 2, 3, 4} and |w|^rho from 0.05 to 450 on the
+    lines arg w = 0, +-pi/rho and pi: the error never exceeds the returned
+    floor, which is finite from |w| = (1.5 _E_S0)^2 on and there within 1e-8
+    of |E| (6.4e-9 at rho = 1.5, arg w = pi, where a pole sits on the edge
+    of the sector in which e^{-chi^rho} decays).  At rho <= 1.25 the ray
+    of pi/(4 rho) would pass a pole; at rho = 4 and small |w| on
+    arg w = +-pi/rho the pole comes within |w| sin(pi/16) of it."""
+    with open(E_GOLDEN) as f:
+        data = json.load(f)
+    assert {e["rho"] for e in data} == {1.1, 1.25, 1.5, 2.0, 3.0, 4.0}
+    finite = 0
+    for e in data:
+        rho, w = e["rho"], complex(e["re"], e["im"])
+        for deriv, ref in ((False, complex(*e["e"])), (True, complex(*e["de"]))):
+            # arg w = -pi/rho and -pi take the other ray
+            for x, r in ((w, ref), (w.conjugate(), ref.conjugate())):
+                log_mag, phase, log_err = mitlef._e_integral(np.array([x]), rho, deriv)
+                err = abs(cmath.exp(log_mag[0] + 1j * phase[0]) - r)
+                assert err <= math.exp(log_err[0]), (rho, x, deriv)
+                if abs(x) >= (1.5 * mitlef._E_S0) ** 2:
+                    finite += 1
+                    assert log_err[0] <= math.log(1e-8 * abs(r)), (rho, x, deriv)
+    assert finite >= 450
+    # tail at rho = 4, n = 20, z = 1.5 e^{i pi/8}, where the asymptotic
+    # expansion's floor once claimed 6.8e-9 with the tail 1.5e-8 off
+    rho, n = 4.0, 20
+    w = radius(n, rho) * 1.5 * cmath.exp(1j * math.pi / 8)
+    val, floor = _kernel_at(w, n, rho, -1.0, 1.0)
+    with mp.workdps(60):
+        ref = mp.mpc(w) ** (n + 1) * _ml_mu_mp(w, rho, 1 + mp.mpf(n + 1) / rho)
+        err = abs(mp.exp(val.log_mag) * mp.expj(val.phase) - ref)
+    assert err <= math.exp(floor)
+
+
+def test_e_integral_stays_small_and_honest_at_extreme_rho():
+    """As rho -> 1 (the ray angle phi = (pi - pi/rho)/2 -> 0) and past
+    rho = 2 pi (phi = pi/(4 rho) < 1/8), panels growing by 1 + phi would
+    take 1/phi of them; the table stays within 28 panels, and the floor
+    still bounds the error against mpmath (E' = rho E_{1/rho,1/rho})."""
+    for rho in (1 + 1e-9, 1 + 1e-6, 1.001, 1.05, 10.0, 100.0, 1e6):
+        for deriv in (False, True):
+            assert mitlef._e_table(rho, deriv)[3].size <= 28 * 16, (rho, deriv)
+    w = 0.5 + 0.5j
+    val = ml_series(w, 1 + 1e-9)
+    with mp.workdps(30):
+        assert abs(mp.exp(val.log_mag) * mp.expj(val.phase) - _ml_mu_mp(w, 1 + 1e-9, 1)) <= 1e-15
+    finite = 0
+    for rho in (1 + 1e-6, 1.05, 10.0):
+        a = math.pi / rho
+        for size in (0.6, 3.0, 20.0):
+            for theta in (0.0, 0.5 * a, a - 0.1, a + 0.1, math.pi):
+                w = size ** (1 / rho) * cmath.exp(1j * theta)
+                with mp.workdps(40):
+                    refs = (_ml_mu_mp(w, rho, 1), rho * _ml_mu_mp(w, rho, 1 / mp.mpf(rho)))
+                    for deriv, ref in zip((False, True), refs):
+                        log_mag, phase, log_err = mitlef._e_integral(np.array([w]), rho, deriv)
+                        err = abs(mp.exp(log_mag[0]) * mp.expj(phase[0]) - ref)
+                        assert err <= math.exp(log_err[0]), (rho, w, deriv)
+                        finite += log_err[0] < math.log(1e-8 * abs(ref))
+    assert finite >= 60
+
+
 # ------------------------------------------------------ section/tail/combo
 
 def test_section_closed_forms():
@@ -311,10 +376,11 @@ def test_tail_two_paths_agree():
 
 
 def test_tail_warns_only_where_it_loses_half_the_digits():
-    # a point of the pointwise benchmark sweep (seed 7) where neither form
-    # of the tail keeps half the digits
+    # a point about 1e-8 from a zero of t_101 (rho = 1.5, the zero near
+    # 1.1530543664 + 0.2476626181i): no form keeps half the digits of so
+    # small a tail, which is 9.7e-8 off its 60-digit mpmath value there
     with pytest.warns(mitlef.CancellationWarning):
-        tail(1.590538908684074 + 0.5025121002953595j, MLContext(rho=1.5, n=100))
+        tail(1.15305437 + 0.24766262j, MLContext(rho=1.5, n=100))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tail(0.5, MLContext(rho=2.0, n=50))
@@ -378,28 +444,35 @@ def test_combo_batch_rows_do_not_depend_on_the_batch(lam):
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_mixed_routes_match_one_point_calls(lam, monkeypatch):
     """A batch that mixes routes gives each point the value, phase and floor
-    of its one-point call, bit for bit.  The routes are read off the B and C
-    floors: at lam = 0 B's is infinite, so a point that reaches
-    _ml_asym_batch takes C; past R_{n+1} C's is, so a point there that
-    reaches it takes B."""
+    of its one-point call, bit for bit.  The routes are read off _routes,
+    whose floors come in the order of the suspect points that _e_integral
+    receives: at lam = 0 some points take C, at lam = 0.5 some past
+    R_{n+1} take B, and in both some take A."""
     rho, n = 2.0, 100
     rng = np.random.default_rng(5)
     z = np.concatenate([[60.0], rng.uniform(-1.8, 1.8, 400) + 1j * rng.uniform(-1.8, 1.8, 400)])
     w = radius(n, rho) * z
-    inner, asym = mitlef._ml_asym_batch, []
+    exact, routes, suspect, chosen = mitlef._e_integral, mitlef._routes, [], []
 
-    def spy(wv, *args):
-        asym.extend(wv)
-        return inner(wv, *args)
+    def spy_exact(wv, *args):
+        suspect.extend(wv)
+        return exact(wv, *args)
 
-    monkeypatch.setattr(mitlef, "_ml_asym_batch", spy)
+    def spy_routes(*floors):
+        use_b, use_c = routes(*floors)
+        chosen.append((use_b, use_c))
+        return use_b, use_c
+
+    monkeypatch.setattr(mitlef, "_e_integral", spy_exact)
+    monkeypatch.setattr(mitlef, "_routes", spy_routes)
     batch = np.stack(mitlef._series_kernel(w, n, rho, 1.0, -lam))
-    routed = np.isin(w, asym)
-    assert not routed.all()  # some points take A
+    at = np.array(suspect)
+    (use_b, use_c), = chosen
+    assert at.size < w.size  # some points take A outright
     if lam == 0:
-        assert routed.any()  # and some take C
+        assert use_c.any()
     else:
-        assert (routed & (np.abs(w) > radius(n + 1, rho))).any()  # and some take B
+        assert (use_b & (np.abs(at) > radius(n + 1, rho))).any()
     for i in range(w.size):
         one = np.stack(mitlef._series_kernel(w[i:i + 1], n, rho, 1.0, -lam))
         assert np.array_equal(one[:, 0], batch[:, i])
@@ -407,31 +480,31 @@ def test_mixed_routes_match_one_point_calls(lam, monkeypatch):
 
 def test_kernel_row_arrays_stay_within_the_chunk_budget(monkeypatch):
     """Each block of series rows and C-route tail rows (_log_terms) and of
-    asymptotic rows (_ml_asym_batch, complex) the kernel builds holds at
-    most _CHUNK_ELEMENTS reals.  The one-column first tail term of the
-    suspect points is a per-point array, like the call's outputs, and is
-    not held to the budget."""
-    sizes = {"series": [], "asym": []}
-    log_terms, asym = mitlef._log_terms, mitlef._ml_asym_batch
+    E rows (_e_sum, complex, one column per quadrature node) the kernel
+    builds holds at most _CHUNK_ELEMENTS reals.  The one-column first tail
+    term of the suspect points is a per-point array, like the call's
+    outputs, and is not held to the budget."""
+    sizes = {"series": [], "exact": []}
+    log_terms, e_sum = mitlef._log_terms, mitlef._e_sum
 
     def terms(lr, k0, k1, *args):
         if k1 - k0 > 1:
             sizes["series"].append(np.size(lr) * (k1 - k0))
         return log_terms(lr, k0, k1, *args)
 
-    def asym_rows(wv, *args):
-        sizes["asym"].append(2 * mitlef._ASYM_TERMS * np.size(wv))
-        return asym(wv, *args)
+    def exact_rows(wf, rho, deriv):
+        sizes["exact"].append(2 * mitlef._e_table(rho, deriv)[3].size * np.size(wf))
+        return e_sum(wf, rho, deriv)
 
     monkeypatch.setattr(mitlef, "_log_terms", terms)
-    monkeypatch.setattr(mitlef, "_ml_asym_batch", asym_rows)
+    monkeypatch.setattr(mitlef, "_e_sum", exact_rows)
     rng = np.random.default_rng(3)
     zs = rng.uniform(-1.8, 1.8, 4000) + 1j * rng.uniform(-1.8, 1.8, 4000)
     for lam in (0.0, 0.5):
         for deriv in (False, True):
             combo_batch(zs, MLContext(2.0, 100, lam), deriv)
-    assert sizes["series"] and sizes["asym"]
-    assert max(sizes["series"] + sizes["asym"]) <= mitlef._CHUNK_ELEMENTS
+    assert len(sizes["exact"]) > 4 and sizes["series"]
+    assert max(sizes["series"] + sizes["exact"]) <= mitlef._CHUNK_ELEMENTS
 
 
 def test_combo_normalized_definition_and_regime():

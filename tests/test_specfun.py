@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from mlsections.mitlef import _asym_coefs
-from mlsections.specfun import erfc, ln_gamma, ln_gamma_arr, rgamma
+from mlsections.mitlef import erfc
+from mlsections.specfun import ln_gamma, ln_gamma_arr, rgamma
 
 
 def test_ln_gamma_small_integers():
@@ -45,8 +45,7 @@ def test_ln_gamma_arr_matches_scalar():
         assert g == ln_gamma(float(x))
 
 
-def test_rgamma_poles_types_and_scipy():
-    from scipy.special import rgamma as scipy_rgamma
+def test_rgamma_poles_types_and_mpmath():
     for x in (0.0, -1.0, -7.0):
         assert rgamma(x) == 0.0
     assert type(rgamma(2.5)) is float
@@ -57,18 +56,19 @@ def test_rgamma_poles_types_and_scipy():
     assert got[0, 0] == 0.0
     for rho in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
         x = 1.0 - np.arange(1, 81) / rho
-        ref = scipy_rgamma(x)
+        ref = np.array([float(mp.rgamma(v)) for v in x])
         assert np.all(np.abs(rgamma(x) - ref) <= 2e-15 * np.abs(ref))
     # the vanishing terms theorem4_rhs relies on: 1/Gamma(1 - k/2) = 0 at even k
-    assert np.all(_asym_coefs(2.0)[1::2] == 0.0)
-    assert np.all(_asym_coefs(2.0)[::2] != 0.0)
+    k = np.arange(1, 81)
+    assert np.all(rgamma(1.0 - k[1::2] / 2.0) == 0.0)
+    assert np.all(rgamma(1.0 - k[::2] / 2.0) != 0.0)
 
 
 def test_erfc_at_zero_and_one():
     assert erfc(0.0) == pytest.approx(1.0, abs=1e-14)
     # independent quadrature of the defining integral
-    integral, _err = quad(lambda v: math.exp(-v * v), 0.0, 1.0)
-    expected = 1.0 - 2.0 / math.sqrt(math.pi) * integral
+    integral = mp.quad(lambda v: mp.exp(-v * v), [0, 1])
+    expected = float(1 - 2 / mp.sqrt(mp.pi) * integral)
     assert erfc(1.0).real == pytest.approx(expected, rel=1e-10)
     assert erfc(1.0) == pytest.approx(0.15729920705, rel=1e-9)
 
@@ -82,8 +82,7 @@ def test_erfc_reflection_and_conjugation():
             erfc(z).conjugate(), rel=1e-12, abs=1e-12)
 
 
-def test_erfc_matches_scipy():
-    from scipy.special import erfc as scipy_erfc
+def test_erfc_matches_mpmath():
     for z in (0.3 + 0.4j, 2.0 - 1.0j, -1.5 + 0.2j, 5.0 + 5.0j, 9.0 - 3.0j):
-        ours, ref = erfc(z), scipy_erfc(z)
+        ours, ref = erfc(z), complex(mp.erfc(z))
         assert abs(ours - ref) <= 1e-10 * max(abs(ref), 1e-30)

@@ -233,6 +233,24 @@ def test_theorem3_pair_small_zeta():
     assert abs(lhs - 0.5) < 0.05
 
 
+def test_theorem3_rhs_matches_mpmath_on_the_disc():
+    """The Theorem 3 limit E(-zeta)/2 - lam e^{zeta^2} (E at rho = 2) on a
+    grid of |zeta| <= 6, against 40-digit mpmath erfc: within 1e-13 of the
+    larger of its two terms.  E is the kernel's value itself there (a = 0),
+    so the kernel must weigh E's integral against the direct sum at every
+    point: where it kept the sum unless that sum lost its last 11 digits,
+    points were 1e-11 off."""
+    g = np.linspace(-6.0, 6.0, 25)
+    zt = (g[:, None] + 1j * g[None, :]).ravel()
+    zt = zt[np.abs(zt) <= 6.0]
+    with mp.workdps(40):
+        half_e = np.array([complex(mp.exp(mp.mpc(z) ** 2) * mp.erfc(mp.mpc(z)) / 2) for z in zt])
+        gauss = np.array([complex(mp.exp(mp.mpc(z) ** 2)) for z in zt])
+    for lam in (0.0, 0.5, 1.0):
+        err = np.abs(verify._theorem3_rhs(zt, lam) - (half_e - lam * gauss))
+        assert (err <= 1e-13 * np.maximum(np.abs(half_e), np.abs(lam * gauss))).all(), lam
+
+
 def test_theorem4_pair_converges_on_arc():
     rho, lam = 2.0, 0.0
     gaps = []

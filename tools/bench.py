@@ -4,9 +4,12 @@ combo_batch: times combo_batch on 4,000 seeded points, uniform in
 [-1.8, 1.8]^2, at rho = 2, for n in {20, 100, 300} and lam in {0, 0.5, 1}.
 Each cell is the median of 5 timed calls after one untimed call, during
 which the series terms the kernel builds are counted by wrapping
-mitlef._log_terms (its cutoff scans included), and its chunks by wrapping
-mitlef._norm_sum (one call per chunk and sum).  It prints microseconds per
-point, terms per point, terms per second and _norm_sum calls.
+mitlef._log_terms (its cutoff scans included), its chunks by wrapping
+mitlef._norm_sum (one call per chunk and sum), the points each route
+serves by wrapping mitlef._routes, and the rows and seconds of E by
+wrapping mitlef._e_integral.  It prints microseconds per point, terms per
+point, terms per second, _norm_sum calls, the points per route (A/B/C),
+the E rows and microseconds per E row.
 
 locate_zeros: times locate_zeros on the same window at rho = 2, for n in
 {20, 100} and lam in {0, 0.5, 1}, the median of 3 timed calls after one
@@ -81,6 +84,33 @@ def _median_seconds(call, repeats: int) -> float:
     return statistics.median(times)
 
 
+@contextlib.contextmanager
+def _routes_and_rows():
+    """Count the points mitlef._routes sends to B and to C, and the rows and
+    seconds of mitlef._e_integral."""
+    routes, exact = mitlef._routes, mitlef._e_integral
+    tally = {"B": 0, "C": 0, "rows": 0, "s": 0.0}
+
+    def counted_routes(*args):
+        use_b, use_c = routes(*args)
+        tally["B"] += int(np.count_nonzero(use_b))
+        tally["C"] += int(np.count_nonzero(use_c))
+        return use_b, use_c
+
+    def timed_exact(w, *args):
+        t0 = time.perf_counter()
+        out = exact(w, *args)
+        tally["s"] += time.perf_counter() - t0
+        tally["rows"] += np.size(w)
+        return out
+
+    mitlef._routes, mitlef._e_integral = counted_routes, timed_exact
+    try:
+        yield tally
+    finally:
+        mitlef._routes, mitlef._e_integral = routes, exact
+
+
 def kernel_rows(zs: np.ndarray) -> list[dict]:
     rows = []
     for n in NS:
@@ -88,12 +118,17 @@ def kernel_rows(zs: np.ndarray) -> list[dict]:
             ctx = MLContext(RHO, n, lam)
             with _counting((mitlef,), "_log_terms",
                            lambda lr, k0, k1, *_: np.size(lr) * (k1 - k0)) as terms, \
-                    _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums:
+                    _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums, \
+                    _routes_and_rows() as routed:
                 combo_batch(zs, ctx)
             sec = _median_seconds(lambda: combo_batch(zs, ctx), REPEATS)
             rows.append({"n": n, "lam": lam, "terms": terms["size"],
                          "us_per_point": 1e6 * sec / zs.size, "terms_per_s": terms["size"] / sec,
-                         "norm_sums": sums["calls"]})
+                         "norm_sums": sums["calls"],
+                         "routes": {"A": zs.size - routed["B"] - routed["C"], "B": routed["B"],
+                                    "C": routed["C"]},
+                         "e_rows": routed["rows"],
+                         "us_per_e_row": 1e6 * routed["s"] / max(routed["rows"], 1)})
     return rows
 
 
@@ -152,10 +187,12 @@ def main(argv: list[str]) -> int:
     print(f"combo_batch, rho = {RHO:g}, {POINTS} points in [-{HALF_SIDE}, {HALF_SIDE}]^2, "
           f"median of {REPEATS}, nproc = {os.cpu_count()}")
     print(f"{'n':>5} {'lam':>5} {'terms/point':>12} {'us/point':>10} {'Mterms/s':>10} "
-          f"{'_norm_sum calls':>16}")
+          f"{'_norm_sum calls':>16} {'A/B/C points':>16} {'E rows':>7} {'us/E row':>9}")
     for r in kernel:
+        abc = "/".join(str(r["routes"][k]) for k in "ABC")
         print(f"{r['n']:>5} {r['lam']:>5g} {r['terms'] / POINTS:>12.1f} "
-              f"{r['us_per_point']:>10.2f} {r['terms_per_s'] / 1e6:>10.1f} {r['norm_sums']:>16}")
+              f"{r['us_per_point']:>10.2f} {r['terms_per_s'] / 1e6:>10.1f} {r['norm_sums']:>16} "
+              f"{abc:>16} {r['e_rows']:>7} {r['us_per_e_row']:>9.2f}")
     locate = locate_rows()
     print(f"locate_zeros, rho = {RHO:g}, window [-{HALF_SIDE}, {HALF_SIDE}]^2, "
           f"median of {LOCATE_REPEATS}")

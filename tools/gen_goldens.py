@@ -13,7 +13,12 @@ Two independent mpmath evaluations of E(z) = sum_j z^j / Gamma(1 + j/rho):
 
 Run from the repository root:  python3 tools/gen_goldens.py
 Writes tests/golden/series_asym.json (64 angles, |z| = 20,
-rho in {1.5, 2, 4}).
+rho in {1.5, 2, 4}) and tests/golden/e_integral.json: E and E' at
+|w|^rho in E_SIZES on the lines arg w = 0, pi/rho and pi, rho in E_RHOS,
+E' by a central difference of E at 40 digits.  ml_gamma_mp serves
+|w|^rho >= 1 at every rho but 1.1; ml_series_mp serves the rest, where the
+incomplete-gamma kernels of a 1/rho = u/v with u > 1 stall (1/1.1 = 10/11
+needs 110 of them per point).
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import mpmath as mp
 RADIUS = 20.0
 ANGLES = 64
 RHOS = (1.5, 2.0, 4.0)
+E_RHOS = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0)
+E_SIZES = (0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 450.0)
 
 
 def _alpha_frac(rho: float) -> Fraction:
@@ -159,6 +166,34 @@ def cross_validate() -> None:
         print(f"cross-validated rho={rho} |z|={r}")
 
 
+def e_entries() -> list[dict]:
+    """E and E' on the grid of tests/golden/e_integral.json."""
+    entries = []
+    for rho in E_RHOS:
+        for size in E_SIZES:
+            oracle = ml_series_mp if rho == 1.1 or size < 1.0 else ml_gamma_mp
+            r = size ** (1.0 / rho)
+            for phi in (0.0, math.pi / rho, math.pi):
+                z = complex(-r, 0.0) if phi == math.pi else r * complex(math.cos(phi),
+                                                                       math.sin(phi))
+                with mp.workdps(40):
+                    zm, h = mp.mpc(z), mp.mpf(10) ** -15
+                    val = oracle(zm, rho)
+                    der = (oracle(zm + h, rho) - oracle(zm - h, rho)) / (2 * h)
+                entries.append({"rho": rho, "re": z.real, "im": z.imag,
+                                "e": [float(val.real), float(val.imag)],
+                                "de": [float(der.real), float(der.imag)]})
+        print(f"generated E, E' at rho={rho}")
+    return entries
+
+
+def _write(name: str, data) -> None:
+    out = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "golden", name)
+    with open(os.path.normpath(out), "w") as f:
+        json.dump(data, f, indent=1)
+        f.write("\n")
+
+
 def main() -> None:
     cross_validate()
     entries = []
@@ -171,13 +206,11 @@ def main() -> None:
             entries.append({"rho": rho, "re": z.real, "im": z.imag,
                             "log_mag": log_mag, "phase": phase})
         print(f"generated rho={rho}")
-    out = os.path.join(os.path.dirname(__file__), os.pardir,
-                       "tests", "golden", "series_asym.json")
-    with open(os.path.normpath(out), "w") as f:
-        json.dump({"radius": RADIUS, "angles": ANGLES,
-                   "entries": entries}, f, indent=1)
-        f.write("\n")
+    _write("series_asym.json", {"radius": RADIUS, "angles": ANGLES, "entries": entries})
     print(f"wrote {len(entries)} entries")
+    e = e_entries()
+    _write("e_integral.json", e)
+    print(f"wrote {len(e)} E entries")
 
 
 if __name__ == "__main__":
