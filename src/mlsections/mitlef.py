@@ -130,32 +130,27 @@ def radius(n: int, rho: float) -> float:
 _PHASE_BLOCK = 8
 
 
-def _log_terms(lr: np.ndarray, k0: int, k1: int, rho: float,
-               deriv: bool = False) -> np.ndarray:
+def _log_terms(lr: np.ndarray, k0: int, k1: int, rho: float) -> np.ndarray:
     """Log-magnitudes of the series terms k0 <= k < k1, one row per entry
-    of lr = log|w|.
-
-    Row i holds k lr_i - ln Gamma(1 + k/rho), or with deriv those of the
-    w-derivative, (k - 1) lr_i + log k - ln Gamma(1 + k/rho).
-    """
-    k = np.arange(k0, k1, dtype=float)
-    logc = -_lgamma_table(rho, k1)[k0:k1]
-    if deriv:
-        with np.errstate(divide="ignore"):
-            logc = logc + np.log(k)
-        k = k - 1.0
-    out = np.multiply.outer(lr, k)
-    out += logc
+    of lr = log|w|: row i holds k lr_i - ln Gamma(1 + k/rho)."""
+    out = np.multiply.outer(lr, np.arange(k0, k1, dtype=float))
+    out -= _lgamma_table(rho, k1)[k0:k1]
     return out
 
 
-def _norm_sum(logt: np.ndarray, theta: np.ndarray, j0: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise normalized sum of the terms e^{logt_k} e^{i (j0 + k) theta}.
+def _norm_sum(logt: np.ndarray, logw: np.ndarray, j0: int, orders: tuple = (0,)) -> tuple:
+    """Row-wise normalized sums of the terms e^{logt_k} e^{i (j0 + k) theta},
+    theta = Im logw, one row per entry of logw.
 
-    logt holds real log-magnitudes, one row per entry of theta.  Returns
-    (m, nu, s) with the row sum s e^m, where m is the largest log-magnitude,
-    at column nu.  Only the magnitudes are exponentiated.  With
+    logt holds real log-magnitudes, and returns (s, m, top, nu) per order
+    asked for, in one flat tuple: the sum is s e^m, and its largest term
+    e^top, at column nu.  Order 0 sums the terms themselves, m = top being
+    the largest log-magnitude.  Order 1 sums them weighted by their index
+    j0 + k, with phases (j0 + k - 1) theta, and divided by |w| = e^{Re logw}:
+    where logt_k is (j0 + k) log|w| plus a constant, that is the
+    w-derivative of the row sum, w = e^logw.
+
+    Only the magnitudes are exponentiated, once for both orders.  With
     k = _PHASE_BLOCK q + r, the phase of term k is e^{i r theta} times
     e^{i (j0 + _PHASE_BLOCK q) theta}, from two per-row tables built by
     repeated multiplication: a row costs four complex exponentials, not one
@@ -165,7 +160,8 @@ def _norm_sum(logt: np.ndarray, theta: np.ndarray, j0: int
     """
     rows, width = logt.shape
     nu = logt.argmax(axis=1)
-    m = logt[np.arange(rows), nu]
+    idx = np.arange(rows)
+    m = logt[idx, nu]
     b = _PHASE_BLOCK
     q = -(-width // b)
     # the magnitudes as (q, b) blocks, zero-padded
@@ -173,13 +169,25 @@ def _norm_sum(logt: np.ndarray, theta: np.ndarray, j0: int
     t = mag.reshape(rows, q * b)[:, :width]
     np.exp(np.subtract(logt, m[:, None], out=t), out=t)
     # tab[r, 0] = e^{i r theta} and tab[q, 1] = e^{i (j0 + b q) theta}
-    tab = np.repeat(np.exp(np.multiply.outer(((0.0, 1j * j0), (1j, 1j * b)), theta)),
+    tab = np.repeat(np.exp(np.multiply.outer(((0.0, 1j * j0), (1j, 1j * b)), logw.imag)),
                     (1, max(b, q) - 1), axis=0)
     np.multiply.accumulate(tab, axis=0, out=tab)
     # the sums over r as one real matrix product with the (cos, sin) pairs
     # of tab[:b, 0], then the sums over q
-    inner = mag @ tab[:b, 0].view(float).reshape(b, rows, 2).transpose(1, 0, 2)
-    return m, nu, np.einsum("ij,ji->i", inner.view(complex)[:, :, 0], tab[:q, 1])
+    pairs = tab[:b, 0].view(float).reshape(b, rows, 2).transpose(1, 0, 2)
+    out = ()
+    if 0 in orders:
+        inner = mag @ pairs
+        out += (np.einsum("ij,ji->i", inner.view(complex)[:, :, 0], tab[:q, 1]), m, m, nu)
+    if 1 in orders:
+        mag *= np.arange(j0, j0 + q * b, dtype=float).reshape(q, b)
+        inner = mag @ pairs
+        nu_d = mag.reshape(rows, q * b).argmax(axis=1)
+        # the index is at least 1 wherever a weighted magnitude is nonzero
+        top = logt[idx, nu_d] + np.log(np.maximum(j0 + nu_d, 1))
+        s_d = np.einsum("ij,ji->i", inner.view(complex)[:, :, 0], tab[:q, 1]) * tab[1, 0].conj()
+        out += (s_d, m - logw.real, top - logw.real, nu_d)
+    return out
 
 
 def _peak_and_cutoff(lr: float, rho: float) -> tuple[float, int, int]:
@@ -302,15 +310,16 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-# (rho, deriv) -> the quadrature of _e_integral (_e_table)
-_E_TABLES: dict[tuple[float, bool], tuple] = {}
+# rho -> the quadrature of _e_integral (_e_table)
+_E_TABLES: dict[float, tuple] = {}
 # the end of the first s-panel of that quadrature
 _E_S0 = 0.45
 
 
-def _e_table(rho: float, deriv: bool) -> tuple:
-    """(phi, chi^2, 2 cos(pi/rho) chi, weights, (q + 1)/(q - 1)): the
-    quadrature of _e_integral on the ray arg chi = phi.
+def _e_table(rho: float) -> tuple:
+    """(phi, chi^2, 2 cos(pi/rho) chi, (E weights, E' weights),
+    (q + 1)/(q - 1)): the quadrature of _e_integral on the ray arg chi = phi;
+    E and E' share its nodes.
 
     phi = pi/(4 rho), where e^{-chi^rho} decays as e^{-|chi|^rho/sqrt(2)};
     below rho = 3/2, half of pi - pi/rho, the lowest a pole comes to the
@@ -328,7 +337,7 @@ def _e_table(rho: float, deriv: bool) -> tuple:
     from rho = 1 to 1e9.  The pole bound of _e_integral reads the last
     entry at the coarsest ratio, q = 1 + max(phi, 1/8).
     """
-    tab = _E_TABLES.get((rho, deriv))
+    tab = _E_TABLES.get(rho)
     if tab is None:
         phi = min(math.pi / (4.0 * rho), 0.5 * (math.pi - math.pi / rho))
         q, s_max = 1.0 + max(phi, 0.125), (46.0 / math.cos(rho * phi)) ** (0.5 / rho)
@@ -347,16 +356,17 @@ def _e_table(rho: float, deriv: bool) -> tuple:
         chi, chi_rho = ray * s * s, s ** (2.0 * rho) * cmath.exp(1j * rho * phi)
         k = rho * math.sin(math.pi / rho) / math.pi
         # e^{-chi^rho} dchi times K's constant (for E', rho chi^rho (rho/pi) sin(pi/rho))
-        wts = np.exp(-chi_rho) * 2.0 * ray * s * ds * (rho * k * chi_rho if deriv else -k)
-        tab = _E_TABLES[(rho, deriv)] = (phi, chi * chi, 2.0 * math.cos(math.pi / rho) * chi,
-                                          wts, (q + 1.0) / (q - 1.0))
+        wts = np.exp(-chi_rho) * 2.0 * ray * s * ds
+        tab = _E_TABLES[rho] = (phi, chi * chi, 2.0 * math.cos(math.pi / rho) * chi,
+                                (wts * -k, wts * (rho * k * chi_rho)), (q + 1.0) / (q - 1.0))
     return tab
 
 
-def _e_integral(w: np.ndarray, rho: float, deriv: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E(w) (or E'(w)) at each nonzero point of the 1-D array w, as
-    (log_mag, phase, log_err), log_err a bound on its error from w alone.
+def _e_integral(w: np.ndarray, rho: float, orders: tuple = (0,)) -> tuple:
+    """E(w) (order 0) and E'(w) (order 1) at each nonzero point of the 1-D
+    array w, for each order asked for: (log_mag, phase, log_err) per order,
+    in one flat tuple, log_err a bound on its error from w alone.  The
+    orders share the exponent, the pole bounds and each node's 1/D.
 
     Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002) 491):
     E(w) = rho e^{w^rho} [where |arg w| <= pi/rho] plus the integral of
@@ -390,47 +400,53 @@ def _e_integral(w: np.ndarray, rho: float, deriv: bool = False
     alr, ath = np.abs(lr), np.abs(theta)
     rp, cos = np.exp(rho * lr), np.cos(rho * theta)
     le, pe = rp * cos + math.log(rho), rp * np.sin(rho * theta)
-    if deriv:
-        le += math.log(rho) + (rho - 1.0) * lr
-        pe += (rho - 1.0) * theta
-    le[ath > math.pi / rho] = -np.inf
-    err = np.log(rp * (1.0 + rho * (alr + ath)) + (rho - 1.0) * alr + (2.0 + 2.0 * math.log(rho)))
-    err += le + _LOG_EPS
+    err0 = np.log(rp * (1.0 + rho * (alr + ath)) + (rho - 1.0) * alr + (2.0 + 2.0 * math.log(rho)))
+    # the exponential part of E, and of E' = rho w^{rho-1} times it, where |arg w| <= pi/rho
+    exps = [(le + (math.log(rho) + (rho - 1.0) * lr), pe + (rho - 1.0) * theta) if d else (le, pe)
+            for d in orders]
+    outs = []
+    for le_d, pe_d in exps:
+        le_d[ath > math.pi / rho] = -np.inf
+        outs.append((le_d, pe_d, err0 + (le_d + _LOG_EPS)))
     if rho == 1.0:
-        return le, pe, err
-    phi, _chi2, _chi_c, wts, c = _e_table(rho, deriv)
+        return sum(outs, ())
+    phi, _chi2, _chi_c, wts, c = _e_table(rho)
     a = math.pi / rho
     near = -33.0 * np.arcsinh(c * np.sin(0.5 * (phi + np.abs(ath - a)))) \
         - rp * np.maximum(-cos, 0.0)
     far = -33.0 * np.arcsinh(c * np.sin(0.5 * (2.0 * math.pi - a - phi - ath))) \
         - rp * np.maximum(-np.cos(rho * (2.0 * math.pi - ath)), 0.0)
-    res = math.log(40.0 * rho) + ((math.log(rho) + (rho - 1.0) * lr) if deriv else 0.0)
-    err = np.logaddexp(np.logaddexp(err, res + np.logaddexp(near, far)),
-                       _LOG_EPS + math.log(8.0 * rho) - (2.0 if deriv else 1.0) * np.maximum(lr, 0.0))
-    err[lr < 2.0 * math.log(1.5 * _E_S0)] = np.inf
+    poles = np.logaddexp(near, far)
     down = (theta < 0) == (ath <= a)
     wf = np.where(down, w.conj(), w)
     # rows per _e_sum call: its complex (rows, nodes) array stays within _CHUNK_ELEMENTS reals
-    rows = max(1, _CHUNK_ELEMENTS // (2 * wts.size))
-    val = np.concatenate([_e_sum(wf[i:i + rows], rho, deriv) for i in range(0, w.size, rows)])
-    val = np.where(down, val.conj(), val)
-    base = np.maximum(le, 0.0)
-    total = np.exp(le - base + 1j * pe) + val * np.exp(-base)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(total)) + base, np.arctan2(total.imag, total.real), err
+    vals = _in_blocks(_e_sum, wf, max(1, _CHUNK_ELEMENTS // (2 * wts[0].size)), rho, orders)
+    for i, (d, (le, pe, err), val) in enumerate(zip(orders, outs, vals)):
+        res = math.log(40.0 * rho) + ((math.log(rho) + (rho - 1.0) * lr) if d else 0.0)
+        size = _LOG_EPS + math.log(8.0 * rho) - (2.0 if d else 1.0) * np.maximum(lr, 0.0)
+        err = np.logaddexp(np.logaddexp(err, res + poles), size)
+        err[lr < 2.0 * math.log(1.5 * _E_S0)] = np.inf
+        val = np.where(down, val.conj(), val)
+        base = np.maximum(le, 0.0)
+        total = np.exp(le - base + 1j * pe) + val * np.exp(-base)
+        with np.errstate(divide="ignore"):
+            outs[i] = np.log(np.abs(total)) + base, np.arctan2(total.imag, total.real), err
+    return sum(outs, ())
 
 
-def _e_sum(wf: np.ndarray, rho: float, deriv: bool) -> np.ndarray:
-    """The integral of _e_integral at points wf of the upper ray's side: one
-    complex rational per node, each row its own (1, nodes) @ (nodes, 1)
-    product, so a row's sum does not depend on the number of rows."""
-    chi2, chi_c, wts = _e_table(rho, deriv)[1:4]
+def _e_sum(wf: np.ndarray, rho: float, orders: tuple) -> tuple:
+    """The integral of _e_integral at points wf of the upper ray's side, one
+    array per order: one complex rational per node, shared by the orders,
+    and each row its own (1, nodes) @ (nodes, 1) product per order, so a
+    row's sum depends neither on the number of rows nor on the orders."""
+    chi2, chi_c, wts = _e_table(rho)[1:4]
     d = np.multiply.outer(wf, -chi_c)
     d += chi2
     d += (wf * wf)[:, None]
-    val = np.matmul(np.reciprocal(d, out=d)[:, None, :], wts[:, None])[:, 0, 0]
+    recip = np.reciprocal(d, out=d)[:, None, :]
+    vals = [np.matmul(recip, wts[o][:, None])[:, 0, 0] for o in orders]
     # out of place: numpy rounds an in-place product of one element apart
-    return val if deriv else val * wf
+    return tuple(val if o else val * wf for o, val in zip(orders, vals))
 
 
 def section(z: complex, ctx: MLContext) -> ScaledComplex:
@@ -484,7 +500,8 @@ def combo_batch(zs: np.ndarray, ctx: MLContext, deriv: bool = False
     """
     zs = np.asarray(zs, dtype=complex)
     rn = ctx.radius_value
-    log_mag, phase, _floor = _series_kernel(rn * zs.ravel(), ctx.n, ctx.rho, 1.0, -ctx.lam, deriv)
+    log_mag, phase, _floor = _series_kernel(rn * zs.ravel(), ctx.n, ctx.rho, 1.0, -ctx.lam,
+                                            (int(deriv),))
     if deriv:
         log_mag = log_mag + math.log(rn)
     return log_mag.reshape(zs.shape), phase.reshape(zs.shape)
@@ -513,18 +530,25 @@ np.empty(1 << 17)
 # A is suspect once its error floor comes within e^23 (~1e-10) of its value: the
 # cheapest gap that left no pointwise benchmark point above 1e-10 (e^20 left 2)
 _SUSPECT_GAP = 23.0
+# below this |w|, s_n' is its first term 1 / Gamma(1 + 1/rho) to rounding (the
+# next is at most 2.3 |w| times it); above it the magnitudes of s_n's terms,
+# from which the kernel sums s_n', do not underflow
+_FLAT = 2.0 ** -60
 
 
 def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
-                   deriv: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a s_n(w) + b E(w), or its w-derivative, at each point of the 1-D array w.
+                   orders: tuple = (0,)) -> tuple:
+    """a s_n(w) + b E(w) (order 0) and its w-derivative (order 1) at each
+    point of the 1-D array w, for the orders (0,), (1,) or (0, 1), from one
+    pass over the series terms.
 
-    Returns (log_mag, phase, log_floor): the value in log-polar form (exact
-    zeros carry log_mag = -inf) and the log of its estimated absolute error.
-    The series terms of each point are exponentiated once, as real
-    magnitudes with their phases taken from two short tables (_norm_sum),
-    and split at column n into the normalized sums S = s_n and T = t_{n+1},
-    which give three representations with different error floors:
+    Returns (log_mag, phase, log_floor) per order, in one flat tuple: the
+    value in log-polar form (exact zeros carry log_mag = -inf) and the log
+    of its estimated absolute error.  The series terms of each point are
+    exponentiated once, as real magnitudes with their phases taken from two
+    short tables (_norm_sum), and split at column n into the normalized
+    sums S = s_n and T = t_{n+1}, which give three representations with
+    different error floors:
 
       A  (a+b) S + b T     direct sum: eps-part of S and T
       B  a S + b E         eps-part of S, |b| times E's error
@@ -532,19 +556,28 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
                            term; only while |w| <= R_{n+1}, where the tail
                            terms decrease from k = n+1 on
 
+    The derivative's S and T are k t_k / w over the same columns: the
+    value's exponentiated magnitudes weighted by k, summed with the value's
+    phase tables (_norm_sum), times e^{-i arg w} / |w|; below |w| = _FLAT
+    its S is its first term, 1 / Gamma(1 + 1/rho).  Asked alone, it takes
+    the same magnitudes and tables and leaves the value's sums out.
+
     E and its error come from its integral representation (_e_integral):
     the error is its rounding and a bound on the quadrature error, +inf at
-    small |w|.  At rho = 1 E is e^w and its error its rounding.
+    small |w|.  At rho = 1 E is e^w and its error its rounding.  E and E'
+    share their nodes' 1/D, and a b = 0 C-route tail the magnitudes of its
+    terms, at every point where one of the orders needs them.
 
     The eps-part of a sum is eps * max(1, |log-term|) * (largest term): the
     log-term k log w - ln Gamma(1 + k/rho) of the largest term is rounded
-    to eps of its own size before it is exponentiated.  A point is suspect
-    once A's floor comes within e^_SUSPECT_GAP of its value, and at a = 0,
-    where the value is E itself, every point is; at a suspect point the
-    lowest floor wins, ties to A.  When b != 0, a point whose
-    central index rho |w|^rho exceeds MAX_TERMS, and where e^{-|w|^rho} is
-    below REL_TOL, takes B and does not set a cutoff; past the budget every
-    other point still raises TruncationError.
+    to eps of its own size before it is exponentiated.  Each order has its
+    own floors and route choice.  A point is suspect once A's floor comes
+    within e^_SUSPECT_GAP of its value, and at a = 0, where the value is E
+    itself, every point is; at a suspect point the lowest floor wins, ties
+    to A.  When b != 0, a point whose central index rho |w|^rho exceeds
+    MAX_TERMS, and where e^{-|w|^rho} is below REL_TOL, takes B and does
+    not set a cutoff; past the budget every other point still raises
+    TruncationError.
 
     The work runs in two stages.  First the points are summed in chunks of
     at most _CHUNK_ELEMENTS terms, which only fill per-call arrays of S
@@ -554,23 +587,19 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     only at the points routed to C, in blocks of the same budget.
     """
     a, b = complex(a), complex(b)
-    la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
-    out_log = np.full(w.shape, -np.inf)
-    out_ph = np.zeros(w.shape)
-    out_floor = np.full(w.shape, -np.inf)
+    outs = [(np.full(w.shape, -np.inf), np.zeros(w.shape), np.full(w.shape, -np.inf))
+            for _ in orders]
     zero = w == 0
     if zero.any():
         # s_n and E (and their derivatives) agree at w = 0
-        v = (a + b) * (rgamma(1.0 + 1.0 / rho) if deriv else 1.0)
-        sv = sc_from_complex(v)
-        out_log[zero] = sv.log_mag
-        out_ph[zero] = sv.phase
+        for d, (out_log, out_ph, _floor) in zip(orders, outs):
+            sv = sc_from_complex((a + b) * (rgamma(1.0 + 1.0 / rho) if d else 1.0))
+            out_log[zero], out_ph[zero] = sv.log_mag, sv.phase
     live = np.nonzero(~zero)[0]
     if live.size == 0:
-        return out_log, out_ph, out_floor
+        return sum(outs, ())
+    la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
     logw = np.log(w[live])
-    # the phase of term k is (k + j0) arg w: j0 = -1 for the derivative
-    j0 = -int(deriv)
     # C reads T only where |w| <= R_{n+1}, and needs it to REL_TOL of its
     # first term: there the tail falls from t_{n+1} at least as fast as at
     # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
@@ -592,57 +621,83 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
         width = n + 1 if b == 0 else _cutoff(float(lr_cut[c0]), rho, policy) + 1
         lw = logw[c0:c0 + _chunk_rows(width)]
         c0 += lw.size
-        logt = _log_terms(lw.real, 0, width, rho, deriv)
-        sums.append(_norm_sum(logt[:, :n + 1], lw.imag, j0)
-                    + (_norm_sum(logt[:, n + 1:], lw.imag, j0 + n + 1) if b != 0 else ()))
+        logt = _log_terms(lw.real, 0, width, rho)
+        sums.append(_norm_sum(logt[:, :n + 1], lw, 0, orders)
+                    + (_norm_sum(logt[:, n + 1:], lw, n + 1, orders) if b != 0 else ()))
         del logt
-    m_s, nu_s, s_s, *t_sums = _joined(sums)
+    # (s, m, top, nu) of S, and of T, per order, in the order of orders
+    sums = _joined(sums)
+    s_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders))]
+    t_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders), len(sums) // 4)]
+    flat = np.nonzero(logw.real < math.log(_FLAT))[0] if 1 in orders else ()
+    if len(flat):
+        # there the magnitudes of s_n's terms past k = 0 underflow, and s_n' is its first term
+        for x, v in zip(s_parts[-1], (rgamma(1.0 + 1.0 / rho), 0.0, -ln_gamma(1.0 + 1.0 / rho), 1)):
+            x[flat] = v
 
-    # stage 2: floors and routes, once per call
-    fl_s = _eps_floor(m_s, nu_s, logw, rho)
-    if b != 0:
-        m_t, nu_t, s_t = t_sums
-        val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
-        floor = np.maximum(lab + fl_s, lb + _eps_floor(m_t, nu_t + n + 1, logw, rho))
-        # a far row stops short of its cutoff: A has no floor there, and B serves
-        floor[logw.real > lr_far] = np.inf
-    else:
-        val_log, val_ph = _combine((a, s_s, m_s))
-        floor = la + fl_s
-    # at a = 0 the value is E itself, and every point is suspect
-    j = np.nonzero((val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP) | (a == 0))[0]
-    if j.size:
-        # E and its floor at every suspect point, in one pass
-        lwj = logw[j]
-        e_log, e_ph, e_err = _e_integral(w[live[j]], rho, deriv)
-        fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.inf
-        first = _log_terms(lwj.real, n + 1, n + 2, rho, deriv)[:, 0]
-        fl_c = la + _eps_floor(first, n + 1, lwj, rho)
-        if a + b != 0:
-            fl_c = np.logaddexp(lab + e_err, fl_c)
-        fl_c = np.where(lwj.real <= lr_fwd, fl_c, np.inf)
-        use_b, use_c = _routes(floor[j], fl_b, fl_c)
-        jb, jc = j[use_b], j[use_c]
-        if jb.size:
-            val_log[jb], val_ph[jb] = _combine((a, s_s[jb], m_s[jb]),
-                                               (b, np.exp(1j * e_ph[use_b]), e_log[use_b]))
-            floor[jb] = fl_b[use_b]
-        if jc.size:
-            if b == 0:
+    # stage 2: floors and routes, once per call and per order
+    fits = []
+    for i, d in enumerate(orders):
+        s_s, m_s, top_s, nu_s = s_parts[i]
+        fl_s = _eps_floor(top_s, nu_s, logw, rho)
+        if b != 0:
+            s_t, m_t, top_t, nu_t = t_parts[i]
+            val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
+            floor = np.maximum(lab + fl_s, lb + _eps_floor(top_t, nu_t + n + 1, logw, rho))
+            # a far row stops short of its cutoff: A has no floor there, and B serves
+            floor[logw.real > lr_far] = np.inf
+        else:
+            val_log, val_ph = _combine((a, s_s, m_s))
+            floor = la + fl_s
+        # at a = 0 the value is E itself, and every point is suspect
+        suspect = (val_log == -np.inf) | (floor > val_log - _SUSPECT_GAP) | (a == 0)
+        fits.append((val_log, val_ph, floor, fl_s, suspect))
+    every = np.nonzero(functools.reduce(np.logical_or, [fit[4] for fit in fits]))[0]
+    if every.size:
+        # E and its floor, for each order, at every point suspect in one of them
+        exact = _e_integral(w[live[every]], rho, orders)
+        first = _log_terms(logw[every].real, n + 1, n + 2, rho)[:, 0]
+        routed_c = []
+        for i, (d, (val_log, val_ph, floor, fl_s, suspect)) in enumerate(zip(orders, fits)):
+            sel = suspect[every] if len(orders) > 1 else slice(None)
+            j = every[sel]
+            lwj = logw[j]
+            e_log, e_ph, e_err = (x[sel] for x in exact[3 * i:3 * i + 3])
+            fl_b = np.logaddexp(la + fl_s[j], lb + e_err) if b != 0 else np.inf
+            # the derivative's first tail term is (n + 1) t_{n+1} / w
+            fl_c = la + _eps_floor(first[sel] + (math.log(n + 1) - lwj.real) if d else first[sel],
+                                   n + 1, lwj, rho)
+            if a + b != 0:
+                fl_c = np.logaddexp(lab + e_err, fl_c)
+            fl_c = np.where(lwj.real <= lr_fwd, fl_c, np.inf)
+            use_b, use_c = _routes(floor[j], fl_b, fl_c)
+            jb = j[use_b]
+            if jb.size:
+                val_log[jb], val_ph[jb] = _combine((a, s_parts[i][0][jb], s_parts[i][1][jb]),
+                                                   (b, np.exp(1j * e_ph[use_b]), e_log[use_b]))
+                floor[jb] = fl_b[use_b]
+            routed_c.append((j[use_c], e_log[use_c], e_ph[use_c], fl_c[use_c]))
+        if b == 0:
+            # T at every point routed to C in one of the orders
+            c_all = np.flatnonzero(np.bincount(np.concatenate([jc for jc, *_ in routed_c]),
+                                               minlength=live.size))
+            if c_all.size:
                 k1 = _cutoff(lr_fwd, rho, policy) + 1
-                mt, _nu, st = _in_blocks(
-                    lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho, deriv), lw.imag,
-                                         j0 + n + 1),
-                    logw[jc], _chunk_rows(k1 - n - 1))
-            else:
-                mt, st = m_t[jc], s_t[jc]
-            val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph[use_c]), e_log[use_c]),
-                                               (-a, st, mt))
-            floor[jc] = fl_c[use_c]
-    out_log[live] = val_log
-    out_ph[live] = val_ph
-    out_floor[live] = floor
-    return out_log, out_ph, out_floor
+                sums = _in_blocks(lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho), lw,
+                                                       n + 1, orders),
+                                  logw[c_all], _chunk_rows(k1 - n - 1))
+                t_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders))]
+        for (val_log, val_ph, floor, *_), (jc, e_log, e_ph, fl_c), t_part in zip(
+                fits, routed_c, t_parts):
+            if jc.size:
+                # the rows of jc in T
+                at = jc if b != 0 else np.searchsorted(c_all, jc)
+                val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
+                                                   (-a, t_part[0][at], t_part[1][at]))
+                floor[jc] = fl_c
+    for out, fit in zip(outs, fits):
+        out[0][live], out[1][live], out[2][live] = fit[:3]
+    return sum(outs, ())
 
 
 def _routes(fl_a: np.ndarray, fl_b, fl_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,14 +733,14 @@ def _kernel_at(w: complex, n: int, rho: float, a: complex, b: complex
 def _eps_floor(m: np.ndarray, nu, logw: np.ndarray, rho: float) -> np.ndarray:
     """Log of eps * max(1, |log-term|) * e^m for sums whose largest term,
     e^m, sits at column nu; |log-term| is bounded by nu |log w| + |ln Gamma|."""
-    size = nu * np.abs(logw) + np.abs(_lgamma_table(rho, int(np.max(nu)) + 1)[nu])
+    size = nu * np.abs(logw) + np.abs(_lgamma_table(rho, int(np.asarray(nu).max()) + 1)[nu])
     return _LOG_EPS + np.log(np.maximum(1.0, size)) + m
 
 
 def _combine(p: tuple, q: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sum of coef * s * e^m over the parts (coef, s, m), per point, in log-polar form.
 
-    A part with coef 0 is left out; m may be -inf.
+    A part with coef 0 is left out; m may be -inf, where e^m is 0.
     """
     parts = [x for x in (p, q) if x is not None and x[0] != 0]
     if len(parts) == 1:
@@ -693,11 +748,8 @@ def _combine(p: tuple, q: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         return _log_polar(coef * s, m)
     (c1, s1, m1), (c2, s2, m2) = parts
     base = np.maximum(m1, m2)
-    base = np.where(np.isfinite(base), base, 0.0)
-    with np.errstate(under="ignore", invalid="ignore"):
-        total = c1 * np.where(m1 > -np.inf, s1 * np.exp(m1 - base), 0.0) \
-            + c2 * np.where(m2 > -np.inf, s2 * np.exp(m2 - base), 0.0)
-    return _log_polar(total, base)
+    base[~np.isfinite(base)] = 0.0
+    return _log_polar(c1 * (s1 * np.exp(m1 - base)) + c2 * (s2 * np.exp(m2 - base)), base)
 
 
 def _log_abs(c: complex) -> float:
@@ -711,7 +763,8 @@ def _scaled(log_mag: float, phase: float) -> ScaledComplex:
 
 
 def _log_polar(vals: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|vals| + base, arg vals); log_mag = -inf where vals is 0."""
     mag = np.abs(vals)
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(mag > 0, np.log(np.maximum(mag, 1e-300)) + base, -np.inf)
-    return log_mag, np.angle(vals)
+    log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=mag > 0)
+    log_mag += base
+    return log_mag, np.arctan2(vals.imag, vals.real)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import asymptote_distance
+from .curves import asymptote_distance, szego_sigma
 from .mitlef import MLContext, _series_kernel, combo_batch
 from .specfun import ln_gamma
 
@@ -232,9 +232,15 @@ def winding_number(ctx: MLContext, rectangle: Window) -> int:
     return w
 
 
-def _value(z: np.ndarray, ctx: MLContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log|I_n|, arg I_n, log of its error floor) at R_n z."""
-    return _series_kernel(ctx.radius_value * z, ctx.n, ctx.rho, 1.0, -ctx.lam)
+def _value(z: np.ndarray, ctx: MLContext, deriv: bool = False) -> tuple:
+    """(log|I_n|, arg I_n, log of its error floor) at R_n z; with deriv, the
+    pair of such triples for I_n and its z-derivative, from one kernel pass."""
+    rn = ctx.radius_value
+    if not deriv:
+        return _series_kernel(rn * z, ctx.n, ctx.rho, 1.0, -ctx.lam)
+    f_lm, f_ph, floor, d_lm, d_ph, d_floor = _series_kernel(rn * z, ctx.n, ctx.rho, 1.0,
+                                                            -ctx.lam, (0, 1))
+    return (f_lm, f_ph, floor), (d_lm + math.log(rn), d_ph, d_floor + math.log(rn))
 
 
 def _stops(f_lm: np.ndarray, floor: np.ndarray, step: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -249,8 +255,10 @@ def _newton_polish(zs: np.ndarray, ctx: MLContext
     """Newton iteration on the scaled evaluation, from each start in zs.
 
     Returns arrays (root, ln|I| there, ok, uncertainty radius).  Each
-    iteration makes one value and one derivative call for the roots still
-    iterating; a root stops by _stops, and its last step is its radius.
+    iteration makes one kernel call, for the value and the derivative, at
+    the roots still iterating and the latest iterates of those that stopped
+    (whose values it reads); a root stops by _stops, and its last step is
+    its radius.
     Where the kernel's floor under-claims the noise the steps stagnate, and
     after NEWTON_MAX_ITER steps the best iterate is taken, its radius the
     stagnation scale |I| / |I'| there.  ok: the radius is below 1e-6."""
@@ -259,15 +267,16 @@ def _newton_polish(zs: np.ndarray, ctx: MLContext
     best_lm, best_z, d_last = np.full(z.size, np.inf), z.copy(), np.zeros(z.size)
     act, fin = np.arange(z.size), np.arange(0)  # iterating; stopped, value pending
     for it in range(NEWTON_MAX_ITER + 1):
-        ids = np.concatenate([fin, act]) if it < NEWTON_MAX_ITER else fin
-        if ids.size:
-            res[ids], f_ph, floor = _value(z[ids], ctx)  # each root's latest value
-            f_lm, f_ph, floor = res[act], f_ph[fin.size:], floor[fin.size:]
         if it == NEWTON_MAX_ITER or not act.size:
+            if fin.size:
+                res[fin] = _value(z[fin], ctx)[0]
             break
-        live = f_lm > -np.inf  # an exact zero ends with res = -inf, ok, unc = 0
-        act, f_lm, f_ph, floor = act[live], f_lm[live], f_ph[live], floor[live]
-        d_lm, d_ph = combo_batch(z[act], ctx, deriv=True)
+        ids = np.concatenate([fin, act])  # each root's latest value
+        (res[ids], f_ph, floor), (d_lm, d_ph, _d_floor) = _value(z[ids], ctx, deriv=True)
+        # the roots still iterating; an exact zero ends with res = -inf, ok, unc = 0
+        live = fin.size + np.flatnonzero(res[act] > -np.inf)
+        act = ids[live]
+        f_lm, f_ph, floor, d_lm, d_ph = (x[live] for x in (res[ids], f_ph, floor, d_lm, d_ph))
         b = f_lm < best_lm[act]
         best_lm[act[b]], best_z[act[b]], d_last[act[b]] = f_lm[b], z[act[b]], d_lm[b]
         step = np.exp(np.minimum(f_lm - d_lm, 100.0) + 1j * (f_ph - d_ph))
@@ -321,19 +330,41 @@ def _log_lead(ctx: MLContext) -> float:
     return ctx.n * math.log(ctx.radius_value) - ln_gamma(1.0 + ctx.n / ctx.rho)
 
 
+def _szego_starts(n: int, rho: float) -> np.ndarray:
+    """n points on S(rho), where the roots of s_n(R_n z) accumulate
+    (Edrei, Saff and Varga, 1983).
+
+    The inner branch gets about n (pi - 2/e) / (2 pi rho) of them, its share
+    of the roots: along it Im(z^rho - rho log z) falls from pi/2 - 1/e to
+    1/e - pi/2, and the points sit at equal steps of it, read off 256
+    samples of the branch.  The rest go on the arc |z| = e^{-1/rho} at
+    equal angles.  Each point sits mid-step, and all are turned by
+    e^{0.4 i / n}, which keeps them off conjugate-symmetric positions.
+    """
+    half, top = math.pi / (2.0 * rho), math.pi / 2.0 - 1.0 / math.e
+    inner = round(n * (math.pi - 2.0 / math.e) / (2.0 * math.pi * rho))
+    phi = np.linspace(half, -half, 256)
+    r = szego_sigma(phi, rho, "inner")
+    level = r ** rho * np.sin(rho * phi) - rho * phi  # rising from -top to top
+    at = np.interp(top * (1.0 - (2.0 * np.arange(inner) + 1.0) / inner), level, phi)
+    arc = half + (np.arange(n - inner) + 0.5) * (2.0 * math.pi - 2.0 * half) / (n - inner)
+    z = np.concatenate([szego_sigma(at, rho, "inner") * np.exp(1j * at),
+                        math.exp(-1.0 / rho) * np.exp(1j * arc)])
+    return z * np.exp(0.4j / n)
+
+
 def _aberth(ctx: MLContext, buf: np.ndarray) -> np.ndarray:
     """All n roots of s_n(R_n z) by Aberth-Ehrlich iteration on the scaled kernel.
 
-    Starts on the circle of the roots' geometric-mean modulus; a root stops
-    by _stops, and only the roots still iterating are evaluated.
-    buf is the n x n scratch array of the pairwise reciprocals.
+    Starts on S(rho) (_szego_starts); each round makes one kernel pass, for
+    the value and the derivative of the roots still iterating; a root stops
+    by _stops.  buf is the n x n scratch array of the pairwise reciprocals.
     """
     n = ctx.n
     act = np.arange(n)
-    z = math.exp(-_log_lead(ctx) / n) * np.exp(1j * (2.0 * math.pi * act / n + 0.4 / n))
+    z = _szego_starts(n, ctx.rho)
     for _ in range(400):
-        f_lm, f_ph, floor = _value(z[act], ctx)
-        d_lm, d_ph = combo_batch(z[act], ctx, deriv=True)
+        (f_lm, f_ph, floor), (d_lm, d_ph, _d_floor) = _value(z[act], ctx, deriv=True)
         newton = np.exp(np.minimum(f_lm - d_lm, 100.0) + 1j * (f_ph - d_ph))
         diff = np.subtract.outer(z[act], z, out=buf[:act.size])
         diff[np.arange(act.size), act] = np.inf

@@ -1,6 +1,7 @@
 """Series, sections, tails, radii and the lambda-combination."""
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -282,7 +283,8 @@ def test_e_integral_floor_holds_against_mpmath():
     of |E| (6.4e-9 at rho = 1.5, arg w = pi, where a pole sits on the edge
     of the sector in which e^{-chi^rho} decays).  At rho <= 1.25 the ray
     of pi/(4 rho) would pass a pole; at rho = 4 and small |w| on
-    arg w = +-pi/rho the pole comes within |w| sin(pi/16) of it."""
+    arg w = +-pi/rho the pole comes within |w| sin(pi/16) of it.  The pass
+    for both gives each what the pass for it alone gives, bit for bit."""
     with open(E_GOLDEN) as f:
         data = json.load(f)
     assert {e["rho"] for e in data} == {1.1, 1.25, 1.5, 2.0, 3.0, 4.0}
@@ -292,7 +294,10 @@ def test_e_integral_floor_holds_against_mpmath():
         for deriv, ref in ((False, complex(*e["e"])), (True, complex(*e["de"]))):
             # arg w = -pi/rho and -pi take the other ray
             for x, r in ((w, ref), (w.conjugate(), ref.conjugate())):
-                log_mag, phase, log_err = mitlef._e_integral(np.array([x]), rho, deriv)
+                both = mitlef._e_integral(np.array([x]), rho, (0, 1))
+                assert np.array_equal(both[:3], mitlef._e_integral(np.array([x]), rho))
+                assert np.array_equal(both[3:], mitlef._e_integral(np.array([x]), rho, (1,)))
+                log_mag, phase, log_err = both[3 * deriv:3 * deriv + 3]
                 err = abs(cmath.exp(log_mag[0] + 1j * phase[0]) - r)
                 assert err <= math.exp(log_err[0]), (rho, x, deriv)
                 if abs(x) >= (1.5 * mitlef._E_S0) ** 2:
@@ -316,8 +321,8 @@ def test_e_integral_stays_small_and_honest_at_extreme_rho():
     take 1/phi of them; the table stays within 28 panels, and the floor
     still bounds the error against mpmath (E' = rho E_{1/rho,1/rho})."""
     for rho in (1 + 1e-9, 1 + 1e-6, 1.001, 1.05, 10.0, 100.0, 1e6):
-        for deriv in (False, True):
-            assert mitlef._e_table(rho, deriv)[3].size <= 28 * 16, (rho, deriv)
+        for weights in mitlef._e_table(rho)[3]:
+            assert weights.size <= 28 * 16, rho
     w = 0.5 + 0.5j
     val = ml_series(w, 1 + 1e-9)
     with mp.workdps(30):
@@ -331,7 +336,7 @@ def test_e_integral_stays_small_and_honest_at_extreme_rho():
                 with mp.workdps(40):
                     refs = (_ml_mu_mp(w, rho, 1), rho * _ml_mu_mp(w, rho, 1 / mp.mpf(rho)))
                     for deriv, ref in zip((False, True), refs):
-                        log_mag, phase, log_err = mitlef._e_integral(np.array([w]), rho, deriv)
+                        log_mag, phase, log_err = mitlef._e_integral(np.array([w]), rho, (deriv,))
                         err = abs(mp.exp(log_mag[0]) * mp.expj(phase[0]) - ref)
                         assert err <= math.exp(log_err[0]), (rho, w, deriv)
                         finite += log_err[0] < math.log(1e-8 * abs(ref))
@@ -441,6 +446,32 @@ def test_combo_batch_rows_do_not_depend_on_the_batch(lam):
             assert one[0][0] == full[0][i] and one[1][0] == full[1][i]
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 0.7 + 0.2j])
+def test_fused_pass_halves_do_not_depend_on_the_batch(lam):
+    """The pass for value and derivative gives each point the same six
+    arrays, bit for bit, in any batch: split, permuted, or alone; and its
+    halves are the value-only and the derivative-only passes, bit for bit.
+    z = 1e-20j takes the derivative's first term (|w| < _FLAT)."""
+    rho, n = 2.0, 100
+    m = 2 * (mitlef._CHUNK_ELEMENTS // (n + 1)) + 3  # at least three chunks
+    rng = np.random.default_rng(12)
+    zs = np.concatenate([[60.0, 1e-20j],
+                         rng.uniform(-1.8, 1.8, m) + 1j * rng.uniform(-1.8, 1.8, m)])
+    perm = rng.permutation(zs.size)
+
+    def rows(z, orders=(0, 1)):
+        return np.vstack(mitlef._series_kernel(radius(n, rho) * z, n, rho, 1.0, -lam, orders))
+
+    full = rows(zs)
+    cut = zs.size // 3
+    assert np.array_equal(np.hstack([rows(zs[:cut]), rows(zs[cut:])]), full)
+    assert np.array_equal(rows(zs[perm]), full[:, perm])
+    for i in range(0, zs.size, 97):
+        assert np.array_equal(rows(zs[i:i + 1])[:, 0], full[:, i])
+    assert np.array_equal(full[:3], rows(zs, (0,)))
+    assert np.array_equal(full[3:], rows(zs, (1,)))
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_mixed_routes_match_one_point_calls(lam, monkeypatch):
     """A batch that mixes routes gives each point the value, phase and floor
@@ -479,32 +510,42 @@ def test_mixed_routes_match_one_point_calls(lam, monkeypatch):
 
 
 def test_kernel_row_arrays_stay_within_the_chunk_budget(monkeypatch):
-    """Each block of series rows and C-route tail rows (_log_terms) and of
-    E rows (_e_sum, complex, one column per quadrature node) the kernel
-    builds holds at most _CHUNK_ELEMENTS reals.  The one-column first tail
-    term of the suspect points is a per-point array, like the call's
-    outputs, and is not held to the budget."""
-    sizes = {"series": [], "exact": []}
-    log_terms, e_sum = mitlef._log_terms, mitlef._e_sum
+    """Each block of series rows and C-route tail rows (_log_terms), of
+    their index-weighted magnitudes for the derivative (_norm_sum for
+    order 1), and of E rows (_e_sum, complex, one column per quadrature
+    node, shared by E and E') the kernel builds holds at most
+    _CHUNK_ELEMENTS reals: the pass for both orders adds a row array of the
+    same size to each block, not a wider one.  The one-column first tail term of
+    the suspect points is a per-point array, like the call's outputs, and
+    is not held to the budget."""
+    sizes = {"series": [], "weighted": [], "exact": []}
+    log_terms, norm_sum, e_sum = mitlef._log_terms, mitlef._norm_sum, mitlef._e_sum
 
     def terms(lr, k0, k1, *args):
         if k1 - k0 > 1:
             sizes["series"].append(np.size(lr) * (k1 - k0))
         return log_terms(lr, k0, k1, *args)
 
-    def exact_rows(wf, rho, deriv):
-        sizes["exact"].append(2 * mitlef._e_table(rho, deriv)[3].size * np.size(wf))
-        return e_sum(wf, rho, deriv)
+    def sums(logt, theta, j0, orders=(0,)):
+        if 1 in orders:
+            sizes["weighted"].append(logt.size)
+        return norm_sum(logt, theta, j0, orders)
+
+    def exact_rows(wf, rho, orders):
+        sizes["exact"].append(2 * mitlef._e_table(rho)[3][0].size * np.size(wf))
+        return e_sum(wf, rho, orders)
 
     monkeypatch.setattr(mitlef, "_log_terms", terms)
+    monkeypatch.setattr(mitlef, "_norm_sum", sums)
     monkeypatch.setattr(mitlef, "_e_sum", exact_rows)
     rng = np.random.default_rng(3)
     zs = rng.uniform(-1.8, 1.8, 4000) + 1j * rng.uniform(-1.8, 1.8, 4000)
     for lam in (0.0, 0.5):
         for deriv in (False, True):
             combo_batch(zs, MLContext(2.0, 100, lam), deriv)
-    assert len(sizes["exact"]) > 4 and sizes["series"]
-    assert max(sizes["series"] + sizes["exact"]) <= mitlef._CHUNK_ELEMENTS
+        mitlef._series_kernel(radius(100, 2.0) * zs, 100, 2.0, 1.0, -lam, (0, 1))
+    assert len(sizes["exact"]) > 4 and sizes["series"] and sizes["weighted"]
+    assert max(sizes["series"] + sizes["weighted"] + sizes["exact"]) <= mitlef._CHUNK_ELEMENTS
 
 
 def test_combo_normalized_definition_and_regime():
@@ -601,9 +642,11 @@ def test_forward_tail_summed_to_its_own_tolerance():
 # ------------------------------------------------- wide rows against mpmath
 
 
-def _section_and_series_mp(w: complex, n: int, rho: float) -> tuple[complex, complex]:
-    """(s_n(w), E(w)) summed in mpmath at the exact double w, with enough
-    digits to absorb E's cancellation below its largest term (~e^{|w|^rho}).
+def _section_and_series_mp(w: complex, n: int, rho: float, deriv: bool = False
+                           ) -> tuple[complex, complex]:
+    """(s_n(w), E(w)), or with deriv their w-derivatives, the sums of
+    k t_k / w, summed in mpmath at the exact double w, with enough digits
+    to absorb E's cancellation below its largest term (~e^{|w|^rho}).
 
     For 1/rho = p/q, term k + q is term k times w^q / prod_{j=1..p} (k/rho + j)."""
     p, q = Fraction(1.0 / rho).limit_denominator(8).as_integer_ratio()
@@ -615,12 +658,13 @@ def _section_and_series_mp(w: complex, n: int, rho: float) -> tuple[complex, com
         s, e, peak, k = None, mp.mpc(0), mp.mpf(0), 0
         while True:
             term = terms[k % q]
-            e += term
+            part = k * term if deriv else term
+            e += part
             if k == n:
                 s = e
-            peak = max(peak, abs(term))
-            if k > n and abs(term) < tol * peak:
-                return complex(s), complex(e)
+            peak = max(peak, abs(part))
+            if k > n and abs(part) < tol * peak:
+                return (complex(s / wm), complex(e / wm)) if deriv else (complex(s), complex(e))
             x = mp.mpf(k * p) / q
             for j in range(1, p + 1):
                 term /= x + j
@@ -650,3 +694,44 @@ def test_wide_rows_match_mpmath(rho, n):
             got = cmath.exp(lm + 1j * ph) if lm > -np.inf else 0.0
             assert abs(got - (a * s + b * e)) <= 1e-11 * scale, (a, b, x)
     assert gated >= 10
+
+
+@functools.cache
+def _derivative_points_mp(n: int) -> tuple:
+    """z at rho = 2 inside R_n, near S(2), past R_{n+1} and near 0, with
+    (s_n'(w), E'(w)) at w = R_n z from mpmath."""
+    rho = 2.0
+    angles = (0.0, 0.4, 1.2, 2.2, math.pi - 0.05, -(math.pi - 0.05))
+    z = np.array([r * cmath.exp(1j * phi)
+                  for r in (0.1, 0.3, 0.6, math.exp(-0.5), 1.2, 2.0) for phi in angles]
+                 + [1e-17, 1e-100j, 1e-310])
+    return z, [_section_and_series_mp(x, n, rho, deriv=True) for x in radius(n, rho) * z]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 0.7 + 0.2j])
+def test_derivative_matches_mpmath(lam):
+    """The derivative, read off the value's magnitudes, the same bit for
+    bit alone and in the pass for both orders, is within 1e-12 of mpmath
+    wherever its floor is below 1e-14 of it, at n = 100 and 300: past
+    R_{n+1} lam != 0 takes E'.  Near 0 it is the first term
+    (a + b) / Gamma(1 + 1/rho) to rounding: at z = 1e-17 from the
+    magnitudes, at 1e-100i and 1e-310, where those past k = 0 underflow,
+    as that term (|w| < _FLAT); at lam = 1 that term is 0."""
+    rho = 2.0
+    gated = 0
+    for n in (100, 300):
+        z, refs = _derivative_points_mp(n)
+        w = radius(n, rho) * z
+        lm, ph, floor = mitlef._series_kernel(w, n, rho, 1.0, -lam, (1,))
+        assert np.array_equal(np.vstack(mitlef._series_kernel(w, n, rho, 1.0, -lam, (0, 1))[3:]),
+                              np.vstack((lm, ph, floor)))
+        got = np.exp(lm + 1j * ph)
+        ref = np.array([s - lam * e for s, e in refs])
+        ok = floor < lm + math.log(1e-14)
+        gated += ok.sum()
+        rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
+        assert rel.max() < 1e-12, (n, rel.max())
+        assert np.allclose(got[-3:], (1.0 - lam) / math.gamma(1.0 + 1.0 / rho), rtol=2e-15,
+                           atol=1e-300)
+    # at lam = 1 (a + b = 0) only 3 of these points have a floor below 1e-14
+    assert gated >= (3 if lam == 1.0 else 20)

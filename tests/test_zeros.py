@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mlsections.curves import phase_u
 from mlsections.mitlef import MLContext, radius
 from mlsections.specfun import ln_gamma
 from mlsections import mitlef, zeros
@@ -66,8 +67,12 @@ def test_poly_zeros_n2_quadratic_oracle():
     assert _match_distance(got, expected) < 1e-10
 
 
-@pytest.mark.parametrize("rho,n", [(2.0, 10), (4.0, 25)])
+@pytest.mark.filterwarnings("error::mlsections.zeros.ClusterWarning")
+@pytest.mark.parametrize("rho,n", [(2.0, 10), (4.0, 25)]
+                         + [(rho, n) for n in (50, 300) for rho in (1.0, 1.5, 3.0, 4.0)])
 def test_poly_zeros_count_and_conjugacy(rho, n):
+    """Aberth, started on S(rho) (at rho = 1 on its inner branch and the
+    circle of radius 1/e), certifies every root without a ClusterWarning."""
     recs = poly_zeros(MLContext(rho=rho, n=n, lam=0.0))
     assert len(recs) == n
     locs = [r.location for r in recs]
@@ -157,8 +162,9 @@ def test_shifted_root_is_not_certified_past_the_radius_cap():
 
 def test_poly_zeros_newton_pass_stops_on_the_floor(monkeypatch):
     """Aberth's roots already meet the stop rule the Newton polish shares
-    with it, so the polish after Aberth takes a few kernel calls, not the
-    60 of NEWTON_MAX_ITER rounds."""
+    with it, so the polish after Aberth takes a few kernel passes, not the
+    30 of NEWTON_MAX_ITER rounds.  A pass for a value and its derivative
+    is one _series_kernel call, and counts once."""
     calls, newton = [], []
     kernel, polish = zeros._series_kernel, zeros._newton_polish
 
@@ -178,7 +184,7 @@ def test_poly_zeros_newton_pass_stops_on_the_floor(monkeypatch):
     monkeypatch.setattr(zeros, "_newton_polish", counted_polish)
     recs = poly_zeros(MLContext(rho=2.0, n=101, lam=0.0))
     assert len(recs) == 101 and all(r.certified for r in recs)
-    assert len(newton) == 1 and newton[0] <= 4
+    assert len(newton) == 1 and newton[0] <= 3
 
 
 def test_poly_zeros_large_n():
@@ -186,6 +192,23 @@ def test_poly_zeros_large_n():
     the double range, so no coefficient form of s_n can be evaluated."""
     recs = poly_zeros(MLContext(rho=2.0, n=600, lam=0.0))
     assert len(recs) == 600 and all(r.certified for r in recs)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_szego_starts_lie_on_the_curve(rho):
+    """round(n (pi - 2/e) / (2 pi rho)) start points lie on the inner branch
+    of S(rho), at equal steps of Im(z^rho - rho log z), and the rest on the
+    arc |z| = e^{-1/rho} at equal angles; all turned by e^{0.4 i / n}."""
+    n = 300
+    z = zeros._szego_starts(n, rho) * cmath.exp(-0.4j / n)
+    assert z.size == n
+    inner = np.abs(np.angle(z)) <= math.pi / (2.0 * rho)
+    assert inner.sum() == round(n * (math.pi - 2.0 / math.e) / (2.0 * math.pi * rho))
+    assert max(abs(phase_u(x, rho)) for x in z[inner]) < 1e-9
+    level = np.diff((z[inner] ** rho - rho * np.log(z[inner])).imag)
+    assert np.ptp(level) < 1e-2 * np.abs(level).mean()
+    assert np.allclose(np.abs(z[~inner]), math.exp(-1.0 / rho), rtol=1e-15)
+    assert np.ptp(np.diff(np.angle(-z[~inner]))) < 1e-12
 
 
 def test_poly_zeros_rho1_exponential_section():

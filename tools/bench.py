@@ -17,11 +17,14 @@ untimed call, during which the _contour_integrals calls and the points
 evaluated by the series kernel (mitlef._series_kernel) are counted by
 wrapping them.
 
-poly_zeros: times poly_zeros at rho = 2 for n in {100, 200, 600}, the median
-of 3 timed calls after one untimed call, during which the series-kernel
-calls and the points they evaluate are counted by wrapping
-mitlef._series_kernel, in total and inside the Newton pass
-(zeros._newton_polish), and the mitlef._norm_sum calls per kernel call.
+poly_zeros: times poly_zeros at rho = 2 for n in {100, 200, 600, 1000},
+the median of 3 timed calls after one untimed call, during which the
+series-kernel passes (one per call of mitlef._series_kernel, for a value
+or for a value and its derivative) and the points they evaluate are
+counted by wrapping it, in total and inside the Newton pass
+(zeros._newton_polish); the Aberth rounds by wrapping zeros._stops inside
+zeros._aberth (one call per round); and the mitlef._norm_sum calls per
+kernel pass.
 
 The three tables go, with nproc, to BENCH_<label>.json in the working
 directory.
@@ -51,7 +54,7 @@ LAMS = (0.0, 0.5, 1.0)
 REPEATS = 5
 LOCATE_NS = (20, 100)
 LOCATE_REPEATS = 3
-POLY_NS = (100, 200, 600)
+POLY_NS = (100, 200, 600, 1000)
 
 
 @contextlib.contextmanager
@@ -152,10 +155,11 @@ def poly_rows() -> list[dict]:
     rows = []
     for n in POLY_NS:
         ctx = MLContext(RHO, n, 0.0)
-        polish, newton = zeros._newton_polish, {}
+        polish, aberth, newton, rounds = zeros._newton_polish, zeros._aberth, {}, {}
         # zeros calls the kernel under its own name and through combo_batch
         with _counting((mitlef, zeros), "_series_kernel", lambda w, *_: np.size(w)) as kernel, \
-                _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums:
+                _counting((mitlef,), "_norm_sum", lambda *_: 0) as sums, \
+                _counting((zeros,), "_stops", lambda *_: 0) as stops:
 
             def counted_polish(*args):
                 before = dict(kernel)
@@ -163,16 +167,23 @@ def poly_rows() -> list[dict]:
                 newton.update((key, kernel[key] - before[key]) for key in kernel)
                 return out
 
-            zeros._newton_polish = counted_polish
+            def counted_aberth(*args):
+                before = stops["calls"]
+                out = aberth(*args)
+                rounds["calls"] = stops["calls"] - before
+                return out
+
+            zeros._newton_polish, zeros._aberth = counted_polish, counted_aberth
             try:
                 zeros.poly_zeros(ctx)
             finally:
-                zeros._newton_polish = polish
+                zeros._newton_polish, zeros._aberth = polish, aberth
         sec = _median_seconds(lambda: zeros.poly_zeros(ctx), LOCATE_REPEATS)
-        rows.append({"n": n, "seconds": sec, "kernel_calls": kernel["calls"],
-                     "points": kernel["size"], "newton_calls": newton["calls"],
+        rows.append({"n": n, "seconds": sec, "kernel_passes": kernel["calls"],
+                     "aberth_rounds": rounds["calls"],
+                     "points": kernel["size"], "newton_passes": newton["calls"],
                      "newton_points": newton["size"],
-                     "norm_sums_per_call": sums["calls"] / kernel["calls"]})
+                     "norm_sums_per_pass": sums["calls"] / kernel["calls"]})
     return rows
 
 
@@ -201,13 +212,14 @@ def main(argv: list[str]) -> int:
         print(f"{r['n']:>5} {r['lam']:>5g} {r['seconds']:>9.3f} {r['contour_calls']:>14} "
               f"{r['points']:>9}")
     poly = poly_rows()
-    print(f"poly_zeros, rho = {RHO:g}, median of {LOCATE_REPEATS}; kernel calls and points,"
-          f" in total and in the Newton pass")
-    print(f"{'n':>5} {'seconds':>9} {'calls':>7} {'points':>9} {'Newton calls':>13} "
-          f"{'Newton points':>14} {'_norm_sum/call':>15}")
+    print(f"poly_zeros, rho = {RHO:g}, median of {LOCATE_REPEATS}; kernel passes and points,"
+          f" in total and in the Newton pass, and Aberth rounds")
+    print(f"{'n':>5} {'seconds':>9} {'passes':>7} {'rounds':>7} {'points':>9} "
+          f"{'Newton passes':>14} {'Newton points':>14} {'_norm_sum/pass':>15}")
     for r in poly:
-        print(f"{r['n']:>5} {r['seconds']:>9.3f} {r['kernel_calls']:>7} {r['points']:>9} "
-              f"{r['newton_calls']:>13} {r['newton_points']:>14} {r['norm_sums_per_call']:>15.2f}")
+        print(f"{r['n']:>5} {r['seconds']:>9.3f} {r['kernel_passes']:>7} {r['aberth_rounds']:>7} "
+              f"{r['points']:>9} {r['newton_passes']:>14} {r['newton_points']:>14} "
+              f"{r['norm_sums_per_pass']:>15.2f}")
     out = {"label": label, "rho": RHO, "points": POINTS, "half_side": HALF_SIDE,
            "repeats": REPEATS, "locate_repeats": LOCATE_REPEATS, "nproc": os.cpu_count(),
            "rows": kernel, "locate_rows": locate, "poly_rows": poly}
