@@ -25,9 +25,11 @@ exponentiates only the real log-magnitudes of the series terms; the phase
 e^{i k arg w} of term k is the product of two entries of short per-point
 tables, built by repeated multiplication (_norm_sum).
 
-The truncation policy is fixed: each series is cut at the first term past
-its peak that is below REL_TOL of the peak, plus TAIL_MARGIN terms, and a
-series that needs more than MAX_TERMS terms raises TruncationError.
+The truncation policy is fixed: s_n has its n + 1 terms, and the tail
+t_{n+1} is summed forward only where |w| <= R_{n+1}, cut at the first term
+past k = n that is below REL_TOL of the peak at |w| = R_{n+1}, plus
+TAIL_MARGIN terms; a tail that needs more than MAX_TERMS terms raises
+TruncationError.
 """
 
 from __future__ import annotations
@@ -190,65 +192,30 @@ def _norm_sum(logt: np.ndarray, logw: np.ndarray, j0: int, orders: tuple = (0,))
     return out
 
 
-def _peak_and_cutoff(lr: float, rho: float) -> tuple[float, int, int]:
-    """Peak value, its index, and the truncation index of the terms at |w| = e^lr.
+@functools.lru_cache(maxsize=256)
+def _tail_cutoff(n: int, rho: float, policy: tuple) -> int:
+    """The cutoff of the forward tail t_{n+1} at |w| = R_{n+1}, kept across
+    calls under policy = (REL_TOL, MAX_TERMS, TAIL_MARGIN): the first index
+    past n whose term is below REL_TOL of the peak, plus TAIL_MARGIN.
 
-    The cutoff is the first index past the peak whose term is below REL_TOL
-    of the peak, plus TAIL_MARGIN.  The log-terms
-    t_k = k lr - ln Gamma(1 + k/rho) are concave in k (ln Gamma is convex),
-    so once a term past the scanned maximum is lower than it, the maximum is
-    the peak of the whole sequence and every later term is lower still: the
-    first term below tolerance past the peak ends the scan, in whichever
-    chunk it falls.  Ties (r exactly at a jump radius R_n) resolve to the
-    larger index, matching the right-continuity of the central index.
-
-    The first chunk is sized from the central index nu(r) ~ rho r^rho: past
-    the peak the log-terms fall quadratically with curvature ~ 1/(rho nu),
-    so they lose |log REL_TOL| within ~ sqrt(2 |log REL_TOL| rho nu) terms;
-    the chunk takes about twice that to cover the slower fall at small nu.
-    The scan checks the estimate and goes on in doubled chunks if it falls
-    short.
+    At |w| = R_{n+1} terms n and n + 1 are equal, and the log-terms
+    k log|w| - ln Gamma(1 + k/rho) are concave in k (ln Gamma is convex), so
+    the larger of the two is the peak of the whole sequence and every later
+    term is lower still.  The scan takes TAIL_MARGIN terms past n + 1, and
+    doubles them until one is below tolerance.
     Raises TruncationError when the cutoff exceeds MAX_TERMS.
     """
-    log_tol = math.log(REL_TOL)
-    row = np.array([lr])
-    hi = _first_scan_end(lr, rho)
-    best = -math.inf
-    nu = 0
-    k0 = 0
+    row = np.array([math.log(radius(n + 1, rho))])
+    width = TAIL_MARGIN
     while True:
-        logt = _log_terms(row, k0, hi, rho)[0]
-        m = float(logt.max())
-        if m >= best:
-            # >= prefers the larger index on an exact tie
-            idx = int(np.nonzero(logt == m)[0][-1])
-            best = m
-            nu = k0 + idx
-        # the cutoff is at least hi + TAIL_MARGIN while no term is below yet
-        past = max(nu + 1, k0)
-        below = np.flatnonzero(logt[past - k0:] < best + log_tol)
-        kcut = (past + int(below[0]) if below.size else hi) + TAIL_MARGIN
+        logt = _log_terms(row, n, n + 2 + width, rho)[0]
+        below = np.flatnonzero(logt[1:] < logt[:2].max() + math.log(REL_TOL))
+        kcut = n + 1 + (int(below[0]) if below.size else width + 1) + TAIL_MARGIN
         if kcut > MAX_TERMS:
             raise TruncationError(f"series did not converge within {MAX_TERMS} terms")
         if below.size:
-            return best, nu, kcut
-        k0, hi = hi, 2 * hi
-
-
-@functools.lru_cache(maxsize=256)
-def _cutoff(lr: float, rho: float, policy: tuple) -> int:
-    """_peak_and_cutoff's cutoff, kept across calls under policy =
-    (REL_TOL, MAX_TERMS, TAIL_MARGIN): the benchmark's locate, roots and
-    pointwise repetitions each re-read every cutoff they need (246, 138
-    and 393 scans per repetition with a per-call cache)."""
-    return _peak_and_cutoff(lr, rho)[2]
-
-
-def _first_scan_end(lr: float, rho: float) -> int:
-    """End of the first cutoff-scan chunk at |w| = e^lr (see _peak_and_cutoff)."""
-    est = rho * math.exp(min(rho * lr, math.log(MAX_TERMS)))
-    return min(int(est + 3.0 * math.sqrt(-math.log(REL_TOL) * rho * (est + 1.0))) + 1,
-               MAX_TERMS + 1)
+            return kcut
+        width *= 2
 
 
 def ml_series(z: complex, rho: float) -> ScaledComplex:
@@ -553,8 +520,11 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
       A  (a+b) S + b T     direct sum: eps-part of S and T
       B  a S + b E         eps-part of S, |b| times E's error
       C  (a+b) E - a T     |a+b| times E's error, eps-part of the first tail
-                           term; only while |w| <= R_{n+1}, where the tail
-                           terms decrease from k = n+1 on
+                           term
+
+    T is summed only where |w| <= R_{n+1}, where the tail terms decrease
+    from k = n+1 on.  Past R_{n+1} C has no floor, and neither has A when
+    b != 0: B serves there.
 
     The derivative's S and T are k t_k / w over the same columns: the
     value's exponentiated magnitudes weighted by k, summed with the value's
@@ -574,17 +544,15 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
     own floors and route choice.  A point is suspect once A's floor comes
     within e^_SUSPECT_GAP of its value, and at a = 0, where the value is E
     itself, every point is; at a suspect point the lowest floor wins, ties
-    to A.  When b != 0, a point whose central index rho |w|^rho exceeds
-    MAX_TERMS, and where e^{-|w|^rho} is below REL_TOL, takes B and does
-    not set a cutoff; past the budget every other point still raises
-    TruncationError.
+    to A.
 
-    The work runs in two stages.  First the points are summed in chunks of
-    at most _CHUNK_ELEMENTS terms, which only fill per-call arrays of S
-    (and of T when b != 0).  Then the floors, the route choice and the B
-    and C evaluations run once for the whole call, on every point that
-    needs them: E and its error at the suspect points, and, at b = 0, T
-    only at the points routed to C, in blocks of the same budget.
+    The work runs in two stages.  First S, n + 1 columns, is summed at
+    every point, and, when b != 0, T at every point inside R_{n+1}, out to
+    the cutoff at R_{n+1}; both in blocks of at most _CHUNK_ELEMENTS terms,
+    into per-call arrays.  Then the floors, the route choice and the B and
+    C evaluations run once for the whole call, on every point that needs
+    them: E and its error at the suspect points, and, at b = 0, T only at
+    the points routed to C.
     """
     a, b = complex(a), complex(b)
     outs = [(np.full(w.shape, -np.inf), np.zeros(w.shape), np.full(w.shape, -np.inf))
@@ -600,40 +568,37 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
         return sum(outs, ())
     la, lb, lab = _log_abs(a), _log_abs(b), _log_abs(a + b)
     logw = np.log(w[live])
-    # C reads T only where |w| <= R_{n+1}, and needs it to REL_TOL of its
-    # first term: there the tail falls from t_{n+1} at least as fast as at
-    # |w| = R_{n+1}, where t_{n+1} is the peak, so the cutoff at R_{n+1}
-    # covers every C point.  For A the cutoff grows with |w|, and a point
-    # sent to B up front (far) needs none past R_{n+1}: sorted by that
-    # radius, largest first, each chunk takes the cutoff of its first row.
     lr_fwd = math.log(radius(n + 1, rho))
-    policy = (REL_TOL, MAX_TERMS, TAIL_MARGIN)
-    if b != 0:
-        lr_far = max(math.log(MAX_TERMS / rho), math.log(-math.log(REL_TOL))) / rho
-        lr_cut = np.where(logw.real > lr_far, lr_fwd, np.maximum(logw.real, lr_fwd))
-        order = np.argsort(-lr_cut, kind="stable")
-        live, logw, lr_cut = live[order], logw[order], lr_cut[order]
+    inner = logw.real <= lr_fwd
 
-    # stage 1: the chunks only sum, S and (b != 0) T
-    sums = []
-    c0 = 0
-    while c0 < live.size:
-        width = n + 1 if b == 0 else _cutoff(float(lr_cut[c0]), rho, policy) + 1
-        lw = logw[c0:c0 + _chunk_rows(width)]
-        c0 += lw.size
-        logt = _log_terms(lw.real, 0, width, rho)
-        sums.append(_norm_sum(logt[:, :n + 1], lw, 0, orders)
-                    + (_norm_sum(logt[:, n + 1:], lw, n + 1, orders) if b != 0 else ()))
-        del logt
-    # (s, m, top, nu) of S, and of T, per order, in the order of orders
-    sums = _joined(sums)
+    def tails(rows: np.ndarray) -> list:
+        """(s, m, top, nu) of T per order, at every row of the call: summed at
+        the rows given, all inside R_{n+1}, and zero (m = -inf) at the others.
+        Inside R_{n+1} the tail falls from t_{n+1} at least as fast as at
+        |w| = R_{n+1}, where t_{n+1} is the peak: that cutoff covers each row."""
+        parts = [(np.zeros(live.size, complex), np.full(live.size, -np.inf),
+                  np.full(live.size, -np.inf), np.zeros(live.size, int)) for _ in orders]
+        if rows.size:
+            k1 = _tail_cutoff(n, rho, (REL_TOL, MAX_TERMS, TAIL_MARGIN)) + 1
+            sums = _in_blocks(lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho), lw,
+                                                   n + 1, orders),
+                              logw[rows], _chunk_rows(k1 - n - 1))
+            for i, part in enumerate(parts):
+                for x, v in zip(part, sums[4 * i:4 * i + 4]):
+                    x[rows] = v
+        return parts
+
+    # stage 1: S, n + 1 columns at every point; (s, m, top, nu) per order
+    sums = _in_blocks(lambda lw: _norm_sum(_log_terms(lw.real, 0, n + 1, rho), lw, 0, orders),
+                      logw, _chunk_rows(n + 1))
     s_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders))]
-    t_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders), len(sums) // 4)]
     flat = np.nonzero(logw.real < math.log(_FLAT))[0] if 1 in orders else ()
     if len(flat):
         # there the magnitudes of s_n's terms past k = 0 underflow, and s_n' is its first term
         for x, v in zip(s_parts[-1], (rgamma(1.0 + 1.0 / rho), 0.0, -ln_gamma(1.0 + 1.0 / rho), 1)):
             x[flat] = v
+    # A needs T at every point inside R_{n+1}
+    t_parts = tails(np.flatnonzero(inner)) if b != 0 else None
 
     # stage 2: floors and routes, once per call and per order
     fits = []
@@ -644,8 +609,8 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
             s_t, m_t, top_t, nu_t = t_parts[i]
             val_log, val_ph = _combine((a + b, s_s, m_s), (b, s_t, m_t))
             floor = np.maximum(lab + fl_s, lb + _eps_floor(top_t, nu_t + n + 1, logw, rho))
-            # a far row stops short of its cutoff: A has no floor there, and B serves
-            floor[logw.real > lr_far] = np.inf
+            # past R_{n+1} T is not summed: A has no floor there, and B serves
+            floor[~inner] = np.inf
         else:
             val_log, val_ph = _combine((a, s_s, m_s))
             floor = la + fl_s
@@ -669,7 +634,7 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
                                    n + 1, lwj, rho)
             if a + b != 0:
                 fl_c = np.logaddexp(lab + e_err, fl_c)
-            fl_c = np.where(lwj.real <= lr_fwd, fl_c, np.inf)
+            fl_c = np.where(inner[j], fl_c, np.inf)
             use_b, use_c = _routes(floor[j], fl_b, fl_c)
             jb = j[use_b]
             if jb.size:
@@ -679,21 +644,13 @@ def _series_kernel(w: np.ndarray, n: int, rho: float, a: complex, b: complex,
             routed_c.append((j[use_c], e_log[use_c], e_ph[use_c], fl_c[use_c]))
         if b == 0:
             # T at every point routed to C in one of the orders
-            c_all = np.flatnonzero(np.bincount(np.concatenate([jc for jc, *_ in routed_c]),
-                                               minlength=live.size))
-            if c_all.size:
-                k1 = _cutoff(lr_fwd, rho, policy) + 1
-                sums = _in_blocks(lambda lw: _norm_sum(_log_terms(lw.real, n + 1, k1, rho), lw,
-                                                       n + 1, orders),
-                                  logw[c_all], _chunk_rows(k1 - n - 1))
-                t_parts = [sums[4 * i:4 * i + 4] for i in range(len(orders))]
+            t_parts = tails(np.flatnonzero(np.bincount(np.concatenate([jc for jc, *_ in routed_c]),
+                                                       minlength=live.size)))
         for (val_log, val_ph, floor, *_), (jc, e_log, e_ph, fl_c), t_part in zip(
                 fits, routed_c, t_parts):
             if jc.size:
-                # the rows of jc in T
-                at = jc if b != 0 else np.searchsorted(c_all, jc)
                 val_log[jc], val_ph[jc] = _combine((a + b, np.exp(1j * e_ph), e_log),
-                                                   (-a, t_part[0][at], t_part[1][at]))
+                                                   (-a, t_part[0][jc], t_part[1][jc]))
                 floor[jc] = fl_c
     for out, fit in zip(outs, fits):
         out[0][live], out[1][live], out[2][live] = fit[:3]
@@ -715,11 +672,7 @@ def _chunk_rows(width: int) -> int:
 
 def _in_blocks(f, x: np.ndarray, rows: int, *args) -> tuple:
     """The arrays f(x, *args) returns, computed on blocks of at most rows entries of x."""
-    return _joined([f(x[i:i + rows], *args) for i in range(0, x.size, rows)])
-
-
-def _joined(parts: list) -> tuple:
-    """Each array of the per-block tuples in parts, joined across the blocks."""
+    parts = [f(x[i:i + rows], *args) for i in range(0, x.size, rows)]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 

@@ -214,8 +214,10 @@ def _graded_panels(a: float, b: float, p: float, d: float
     width (rho n)^{-1/2}, to rounding wherever e^{R_n^rho} is finite."""
     k = max(0, math.ceil(math.log2(0.125 / d)))
     reach = np.cumsum(np.minimum(d * 2.0 ** np.arange(k + math.ceil((b - a) / 0.125)), 0.125))
-    ends = np.unique(np.concatenate([[a, p, b], p - reach[reach < p - a],
-                                     p + reach[reach < b - p]]))
+    # sorted without repeats by hand: np.unique would import numpy.ma
+    ends = np.sort(np.concatenate([[a, p, b], p - reach[reach < p - a],
+                                   p + reach[reach < b - p]]))
+    ends = ends[np.append(True, ends[1:] != ends[:-1])]
     mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
     x, w = _gauss_legendre()
     return mid[:, None] + half[:, None] * x, half[:, None] * w

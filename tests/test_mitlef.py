@@ -19,7 +19,6 @@ from mlsections.mitlef import (
     _LOG_EPS,
     _kernel_at,
     _log_terms,
-    _peak_and_cutoff,
     combo,
     combo_batch,
     combo_derivative,
@@ -72,17 +71,7 @@ def test_radius_rejects_n0():
 
 # ---------------------------------------------------------- central index
 
-@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
-def test_central_index_jumps(rho):
-    for n in range(1, 51):
-        rn = radius(n, rho)
-        eps = 1e-9 * rn
-        assert _peak_and_cutoff(math.log(rn + eps), rho)[1] == n
-        assert _peak_and_cutoff(math.log(rn - eps), rho)[1] == n - 1
-
-
-def test_max_term_small_r():
-    assert _peak_and_cutoff(math.log(1e-12), 2.0)[1] == 0
+_POLICY = (mitlef.REL_TOL, mitlef.MAX_TERMS, mitlef.TAIL_MARGIN)
 
 
 def _brute_cutoff(lr, rho):
@@ -94,60 +83,82 @@ def _brute_cutoff(lr, rho):
     return float(t[nu]), nu, first + mitlef.TAIL_MARGIN
 
 
-_CUTOFF_CASES = [(rho, end) for end in (None, 1, 8, 33) for rho in (1.5, 2.0, 4.0)]
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_central_index_jumps(rho):
+    # the largest term moves from n - 1 to n as |w| passes R_n, so inside
+    # R_{n+1} the tail t_{n+1} falls from its first term on
+    for n in range(1, 51):
+        rn = radius(n, rho)
+        eps = 1e-9 * rn
+        assert _brute_cutoff(math.log(rn + eps), rho)[1] == n
+        assert _brute_cutoff(math.log(rn - eps), rho)[1] == n - 1
+
+
+def test_max_term_small_r():
+    assert _brute_cutoff(math.log(1e-12), 2.0)[1] == 0
+
+
+_CUTOFF_CASES = [(rho, end) for end in (None, 1, 8, 33) for rho in (1.0, 1.5, 2.0, 4.0)]
 
 
 @pytest.mark.parametrize("rho,first_end", _CUTOFF_CASES,
                          ids=[f"{r}" if e is None else f"{r}-first{e}" for r, e in _CUTOFF_CASES])
 def test_cutoff_matches_brute_force(rho, first_end, monkeypatch):
-    if first_end is not None:  # a first chunk that falls short: the scan doubles it
-        monkeypatch.setattr(mitlef, "_first_scan_end", lambda lr, rho: first_end)
-    # log r from -3 up to a central index of ~10^4
-    for lr in np.linspace(-3.0, math.log(1e4 / rho) / rho, 41):
-        assert _peak_and_cutoff(lr, rho) == _brute_cutoff(lr, rho)
-    for n in range(1, 60):
-        # exactly at a jump radius the larger index wins a tie
-        lr = math.log(radius(n, rho))
-        got = _peak_and_cutoff(lr, rho)
-        assert got == _brute_cutoff(lr, rho)
-        assert got[1] in (n - 1, n)
-    # an exact floating-point tie: rho = 1, r = R_1 = 1, terms 1/k!
-    assert _peak_and_cutoff(0.0, 1.0)[1] == 1
+    # the scan's first chunk is TAIL_MARGIN terms: 1, 8 and 33 fall short of
+    # the cutoff, and the scan doubles them
+    if first_end is not None:
+        monkeypatch.setattr(mitlef, "TAIL_MARGIN", first_end)
+    policy = (mitlef.REL_TOL, mitlef.MAX_TERMS, mitlef.TAIL_MARGIN)
+    for n in list(range(61)) + [300, 2000]:
+        # at R_{n+1} terms n and n + 1 tie; at rho = 1, R_{n+1} = n + 1 exactly
+        peak, nu, kcut = _brute_cutoff(math.log(radius(n + 1, rho)), rho)
+        assert mitlef._tail_cutoff(n, rho, policy) == kcut
+        assert nu in (n, n + 1)
 
 
-def test_cutoff_well_below_old_floor_on_acceptance_window():
-    # the scan used to return from its second 4096-term chunk only
-    for n in (20, 50, 100):
-        lr = math.log(radius(n, 2.0) * abs(1.8 + 1.8j))
-        kcut = _peak_and_cutoff(lr, 2.0)[2]
-        assert kcut == _brute_cutoff(lr, 2.0)[2]
+def test_cutoff_well_below_old_floor_on_acceptance_window(monkeypatch):
+    """The scan used to return from its second 4096-term chunk only.  Rows
+    no longer grow with |w|: on the acceptance window at lam = 0.5, no row
+    the kernel builds is wider than S's n + 1 columns or T's, which end at
+    the cutoff at R_{n+1}."""
+    cutoffs = {n: mitlef._tail_cutoff(n, 2.0, _POLICY) for n in (20, 50, 100)}
+    widths = []
+    log_terms = mitlef._log_terms
+
+    def terms(lr, k0, k1, rho):
+        widths.append(k1 - k0)
+        return log_terms(lr, k0, k1, rho)
+
+    monkeypatch.setattr(mitlef, "_log_terms", terms)
+    zs = np.array([1.8 + 1.8j, -1.8 + 0.1j, 0.3j, 0.9, 1.1 - 0.2j])
+    for n, kcut in cutoffs.items():
+        assert kcut == _brute_cutoff(math.log(radius(n + 1, 2.0)), 2.0)[2]
         assert kcut < 4160
+        widths.clear()
+        combo_batch(zs, MLContext(2.0, n, 0.5))
+        assert max(widths) == max(n + 1, kcut - n)
 
 
 def test_truncation_budget(monkeypatch):
-    lr = math.log(radius(50, 2.0) * abs(1.8 + 1.8j))
-    kcut = _peak_and_cutoff(lr, 2.0)[2]
-    # the peak itself lies past the budget (central index ~ 6.5e5)
-    with pytest.raises(TruncationError):
-        _peak_and_cutoff(math.log(20.0), 4.0)
-    full = {w: ml_series(w, 2.0) for w in (7.0, -7.0, 7.0j)}
+    # the tail's cutoff raises past the budget
+    kcut = mitlef._tail_cutoff(50, 2.0, _POLICY)
+    full = {w: ml_series(w, 2.0) for w in (7.0, -7.0, 7.0j, 5.0, 0.5)}
     monkeypatch.setattr(mitlef, "MAX_TERMS", kcut)
-    assert _peak_and_cutoff(lr, 2.0)[2] == kcut
+    assert mitlef._tail_cutoff(50, 2.0, (mitlef.REL_TOL, kcut, mitlef.TAIL_MARGIN)) == kcut
     monkeypatch.setattr(mitlef, "MAX_TERMS", kcut - 1)
     with pytest.raises(TruncationError):
-        _peak_and_cutoff(lr, 2.0)
-    monkeypatch.setattr(mitlef, "MAX_TERMS", 16)
-    with pytest.raises(TruncationError):
-        _peak_and_cutoff(0.0, 2.0)
-    # past the budget the asymptotic form serves where e^{-|w|^rho} is below
-    # REL_TOL (|w| = 7: central index 98 > 40), and only there (|w| = 5:
-    # central index 50 > 40, but e^{-25} is above REL_TOL)
+        mitlef._tail_cutoff(50, 2.0, (mitlef.REL_TOL, kcut - 1, mitlef.TAIL_MARGIN))
+    # past R_1 (0.886 at rho = 2) E serves ml_series, and no cutoff is
+    # needed; inside it the tail's cutoff at R_1 (index 32 with a margin
+    # of 1) is within a budget of 40, and not within one of 16
     monkeypatch.setattr(mitlef, "MAX_TERMS", 40)
     monkeypatch.setattr(mitlef, "TAIL_MARGIN", 1)
     for w, ref in full.items():
         assert _rel(ml_series(w, 2.0), ref) < 1e-13
+    monkeypatch.setattr(mitlef, "MAX_TERMS", 16)
+    assert _rel(ml_series(5.0, 2.0), full[5.0]) < 1e-13
     with pytest.raises(TruncationError):
-        ml_series(5.0, 2.0)
+        ml_series(0.5, 2.0)
 
 
 # ----------------------------------------------------------------- series
@@ -262,9 +273,9 @@ def test_series_matches_golden_everywhere():
     """ml_series on |z| = 20 against the frozen high-precision values.
 
     In the decay sector the power series cancels from terms near e^{|z|^rho}
-    down to |E| = O(1/|z|), so the value must come from the asymptotic form
-    there.  At rho = 4 the series would need ~6e5 terms, beyond MAX_TERMS,
-    so every point takes the asymptotic form.
+    down to |E| = O(1/|z|), so the value must come from E's integral
+    representation there.  Every point lies past R_1, where no series tail
+    is summed.
     """
     with open(GOLDEN) as f:
         data = json.load(f)
@@ -425,9 +436,9 @@ def test_combo_batch_matches_scalar():
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.7 + 0.2j])
 def test_combo_batch_rows_do_not_depend_on_the_batch(lam):
     """Each point's value is the same, bit for bit, in any batch: split
-    across chunk boundaries, permuted, or alone.  At lam != 0 the kernel
-    sorts the points by their cutoff radius and writes each chunk back to
-    its own points; z = 60 (|w| ~ 425) lies past the far rule's radius."""
+    across chunk boundaries, permuted, or alone.  At lam != 0 the tail is
+    summed only at the points inside R_{n+1}; z = 60 (|w| ~ 425) lies far
+    past it."""
     ctx = MLContext(rho=2.0, n=100, lam=lam)
     m = 2 * (mitlef._CHUNK_ELEMENTS // (ctx.n + 1)) + 3  # at least three chunks
     rng = np.random.default_rng(11)
@@ -642,11 +653,13 @@ def test_forward_tail_summed_to_its_own_tolerance():
 # ------------------------------------------------- wide rows against mpmath
 
 
-def _section_and_series_mp(w: complex, n: int, rho: float, deriv: bool = False
-                           ) -> tuple[complex, complex]:
+def _section_and_series_mp(w: complex, n: int, rho: float, deriv: bool = False,
+                           tail: bool = False) -> tuple[complex, complex]:
     """(s_n(w), E(w)), or with deriv their w-derivatives, the sums of
     k t_k / w, summed in mpmath at the exact double w, with enough digits
-    to absorb E's cancellation below its largest term (~e^{|w|^rho}).
+    to absorb E's cancellation below its largest term (~e^{|w|^rho}); with
+    tail, the tail t_{n+1}(w) (or its derivative) in place of E, summed on
+    its own.
 
     For 1/rho = p/q, term k + q is term k times w^q / prod_{j=1..p} (k/rho + j)."""
     p, q = Fraction(1.0 / rho).limit_denominator(8).as_integer_ratio()
@@ -660,9 +673,12 @@ def _section_and_series_mp(w: complex, n: int, rho: float, deriv: bool = False
             term = terms[k % q]
             part = k * term if deriv else term
             e += part
+            peak = max(peak, abs(part))
             if k == n:
                 s = e
-            peak = max(peak, abs(part))
+                if tail:
+                    # the tail alone from here on, to tol of its own largest term
+                    e, peak = mp.mpc(0), mp.mpf(0)
             if k > n and abs(part) < tol * peak:
                 return (complex(s / wm), complex(e / wm)) if deriv else (complex(s), complex(e))
             x = mp.mpf(k * p) / q
@@ -675,9 +691,9 @@ def _section_and_series_mp(w: complex, n: int, rho: float, deriv: bool = False
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
 @pytest.mark.parametrize("n", [100, 300])
 def test_wide_rows_match_mpmath(rho, n):
-    # one batch per coefficient pair, so every b != 0 row is as wide as the
-    # cutoff of the largest |w|; points whose error floor is within 1e-13 of
-    # the scale max(|a s_n|, |b E|) are gated at 1e-11 of it
+    # one batch per coefficient pair, whose b != 0 rows hold T only inside
+    # R_{n+1}, out to its cutoff there; points whose error floor is within
+    # 1e-13 of the scale max(|a s_n|, |b E|) are gated at 1e-11 of it
     rn = radius(n, rho)
     angles = (0.0, 0.4, 1.2, 2.2, math.pi - 0.05, -(math.pi - 0.05))
     w = np.array([rn * r * cmath.exp(1j * phi)
@@ -699,24 +715,26 @@ def test_wide_rows_match_mpmath(rho, n):
 @functools.cache
 def _derivative_points_mp(n: int) -> tuple:
     """z at rho = 2 inside R_n, near S(2), past R_{n+1} and near 0, with
-    (s_n'(w), E'(w)) at w = R_n z from mpmath."""
+    (s_n'(w), t_{n+1}'(w)) at w = R_n z from mpmath."""
     rho = 2.0
     angles = (0.0, 0.4, 1.2, 2.2, math.pi - 0.05, -(math.pi - 0.05))
     z = np.array([r * cmath.exp(1j * phi)
                   for r in (0.1, 0.3, 0.6, math.exp(-0.5), 1.2, 2.0) for phi in angles]
                  + [1e-17, 1e-100j, 1e-310])
-    return z, [_section_and_series_mp(x, n, rho, deriv=True) for x in radius(n, rho) * z]
+    return z, [_section_and_series_mp(x, n, rho, deriv=True, tail=True)
+               for x in radius(n, rho) * z]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 0.7 + 0.2j])
 def test_derivative_matches_mpmath(lam):
     """The derivative, read off the value's magnitudes, the same bit for
     bit alone and in the pass for both orders, is within 1e-12 of mpmath
-    wherever its floor is below 1e-14 of it, at n = 100 and 300: past
-    R_{n+1} lam != 0 takes E'.  Near 0 it is the first term
-    (a + b) / Gamma(1 + 1/rho) to rounding: at z = 1e-17 from the
-    magnitudes, at 1e-100i and 1e-310, where those past k = 0 underflow,
-    as that term (|w| < _FLAT); at lam = 1 that term is 0."""
+    wherever its floor is below 1e-14 of it (1e-13 at lam = 1, where
+    a + b = 0), at n = 100 and 300.  Past R_{n+1} lam != 0 takes E', and
+    its error is within its floor at every point there.  Near 0 it is the
+    first term (a + b) / Gamma(1 + 1/rho) to rounding: at z = 1e-17 from
+    the magnitudes, at 1e-100i and 1e-310, where those past k = 0
+    underflow, as that term (|w| < _FLAT); at lam = 1 that term is 0."""
     rho = 2.0
     gated = 0
     for n in (100, 300):
@@ -726,12 +744,18 @@ def test_derivative_matches_mpmath(lam):
         assert np.array_equal(np.vstack(mitlef._series_kernel(w, n, rho, 1.0, -lam, (0, 1))[3:]),
                               np.vstack((lm, ph, floor)))
         got = np.exp(lm + 1j * ph)
-        ref = np.array([s - lam * e for s, e in refs])
-        ok = floor < lm + math.log(1e-14)
+        # s_n' - lam E' = (1 - lam) s_n' - lam t_{n+1}', which cancels only as the function does
+        ref = np.array([(1.0 - lam) * s - lam * t for s, t in refs])
+        if lam != 0:
+            past = np.abs(w) > radius(n + 1, rho)
+            assert past.sum() == 12
+            assert (np.abs(got - ref)[past] <= np.exp(floor[past])).all(), n
+        ok = floor < lm + math.log(1e-13 if lam == 1.0 else 1e-14)
         gated += ok.sum()
-        rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
-        assert rel.max() < 1e-12, (n, rel.max())
+        if ok.any():
+            rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
+            assert rel.max() < 1e-12, (n, rel.max())
         assert np.allclose(got[-3:], (1.0 - lam) / math.gamma(1.0 + 1.0 / rho), rtol=2e-15,
                            atol=1e-300)
-    # at lam = 1 (a + b = 0) only 3 of these points have a floor below 1e-14
-    assert gated >= (3 if lam == 1.0 else 20)
+    # at lam = 1 only 17 of these points have a floor below 1e-13, all at n = 100
+    assert gated >= (15 if lam == 1.0 else 20)

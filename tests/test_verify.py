@@ -3,6 +3,9 @@
 import cmath
 import inspect
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -181,6 +184,18 @@ def test_kn_integrals_raise_no_warning():
         warnings.simplefilter("error")
         suite_kn()
         kn_quadrature(0.4, MLContext(rho=2.0, n=30, lam=0.5))
+
+
+def test_kn_suite_leaves_numpy_ma_unloaded():
+    """The K_n panels are sorted without np.unique, which imports numpy.ma
+    (about 0.5 MiB) on its first call."""
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    code = ("import sys, mlsections.verify\n"
+            "mlsections.verify.suite_kn()\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("offset", [1e-3, 1e-5])
