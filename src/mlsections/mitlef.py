@@ -259,22 +259,19 @@ def ml_asymptotic(z: complex, rho: float) -> ScaledComplex:
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16- and 32-point Gauss-Legendre rules on
-    [-1, 1], concatenated (the 16-point rule first): Newton's method on P_m
-    from cos(pi (i - 1/4) / (m + 1/2)), P_m and P_m' by their recurrence,
-    weights 2 / ((1 - x^2) P_m'(x)^2).  No eigensolver, so numpy.polynomial
-    stays unloaded."""
-    rules = []
-    for m in (16, 32):
-        x = np.cos(math.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
-        for step in range(9):
-            p0, p1 = np.ones(m), x
-            for k in range(2, m + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
-            x = x - p1 / dp if step < 8 else x
-        rules.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
-    return tuple(np.concatenate(r) for r in zip(*rules))
+    """Nodes and weights of the m = 16-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on P_m from cos(pi (i - 1/4) / (m + 1/2)), P_m and P_m'
+    by their recurrence, weights 2 / ((1 - x^2) P_m'(x)^2).  No eigensolver,
+    so numpy.polynomial stays unloaded."""
+    m = 16
+    x = np.cos(math.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for step in range(9):
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        x = x - p1 / dp if step < 8 else x
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
 # rho -> the quadrature of _e_integral (_e_table)
@@ -317,7 +314,7 @@ def _e_table(rho: float) -> tuple:
                             (e ** (2.0 * rho) + 16.0) ** (0.5 / rho)))
         ends = np.array(ends)
         mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-        x, wt = (r[:16] for r in _gauss_legendre())
+        x, wt = _gauss_legendre()
         s, ds = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
         ray = cmath.exp(1j * phi)
         chi, chi_rho = ray * s * s, s ** (2.0 * rho) * cmath.exp(1j * rho * phi)
@@ -340,7 +337,7 @@ def _e_integral(w: np.ndarray, rho: float, orders: tuple = (0,)) -> tuple:
     -(rho/pi) sin(pi/rho) w e^{-chi^rho} / D over chi in [0, inf), with
     D = (chi - w e^{i pi/rho})(chi - w e^{-i pi/rho}); for E' = rho E_{1/rho,1/rho},
     rho^2 w^{rho-1} e^{w^rho} and (rho^2/pi) sin(pi/rho) chi^rho e^{-chi^rho} / D.
-    The integral is turned onto the ray of _e_table, away from the pole
+    The integral (_e_ray) is turned onto the ray of _e_table, away from the pole
     w e^{-i pi/rho}, which crosses no pole: points with 0 <= arg w <= pi/rho
     or arg w < -pi/rho take the upper ray, the others, by
     E(conj w) = conj E(w), are conjugated onto it.  At rho = 1 E = e^w.
@@ -377,28 +374,36 @@ def _e_integral(w: np.ndarray, rho: float, orders: tuple = (0,)) -> tuple:
         outs.append((le_d, pe_d, err0 + (le_d + _LOG_EPS)))
     if rho == 1.0:
         return sum(outs, ())
-    phi, _chi2, _chi_c, wts, c = _e_table(rho)
+    phi, *_, c = _e_table(rho)
     a = math.pi / rho
     near = -33.0 * np.arcsinh(c * np.sin(0.5 * (phi + np.abs(ath - a)))) \
         - rp * np.maximum(-cos, 0.0)
     far = -33.0 * np.arcsinh(c * np.sin(0.5 * (2.0 * math.pi - a - phi - ath))) \
         - rp * np.maximum(-np.cos(rho * (2.0 * math.pi - ath)), 0.0)
     poles = np.logaddexp(near, far)
-    down = (theta < 0) == (ath <= a)
-    wf = np.where(down, w.conj(), w)
-    # rows per _e_sum call: its complex (rows, nodes) array stays within _CHUNK_ELEMENTS reals
-    vals = _in_blocks(_e_sum, wf, max(1, _CHUNK_ELEMENTS // (2 * wts[0].size)), rho, orders)
-    for i, (d, (le, pe, err), val) in enumerate(zip(orders, outs, vals)):
+    for i, (d, (le, pe, err), val) in enumerate(zip(orders, outs, _e_ray(w, rho, orders))):
         res = math.log(40.0 * rho) + ((math.log(rho) + (rho - 1.0) * lr) if d else 0.0)
         size = _LOG_EPS + math.log(8.0 * rho) - (2.0 if d else 1.0) * np.maximum(lr, 0.0)
         err = np.logaddexp(np.logaddexp(err, res + poles), size)
         err[lr < 2.0 * math.log(1.5 * _E_S0)] = np.inf
-        val = np.where(down, val.conj(), val)
         base = np.maximum(le, 0.0)
         total = np.exp(le - base + 1j * pe) + val * np.exp(-base)
         with np.errstate(divide="ignore"):
             outs[i] = np.log(np.abs(total)) + base, np.arctan2(total.imag, total.real), err
     return sum(outs, ())
+
+
+def _e_ray(w: np.ndarray, rho: float, orders: tuple = (0,)) -> tuple:
+    """The integral of _e_integral, on the ray chosen there, at each nonzero
+    point of the 1-D array w, one complex array per order: E - rho e^{w^rho}
+    and E' - rho^2 w^{rho-1} e^{w^rho} where |arg w| <= pi/rho, E and E'
+    elsewhere."""
+    theta = np.arctan2(w.imag, w.real)
+    down = (theta < 0) == (np.abs(theta) <= math.pi / rho)
+    # rows per _e_sum call: its complex (rows, nodes) array stays within _CHUNK_ELEMENTS reals
+    vals = _in_blocks(_e_sum, np.where(down, w.conj(), w),
+                      max(1, _CHUNK_ELEMENTS // (2 * _e_table(rho)[3][0].size)), rho, orders)
+    return tuple(np.where(down, val.conj(), val) for val in vals)
 
 
 def _e_sum(wf: np.ndarray, rho: float, orders: tuple) -> tuple:

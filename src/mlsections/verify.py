@@ -14,6 +14,9 @@ the underlying statements are limits in n, most checks are trend checks
 (the deviation must shrink along an n-list); a few absolute thresholds were
 frozen after calibration runs and are kept as module constants.
 
+The tail's contour integral K_n comes in closed form from its residues: the
+tail from the series kernel, or E's ray integral minus s_n (kn_integral).
+
 Suites return a plain dict {check_id, params, n_list, metric_list, pass}
 (theorem4 adds metric_list_leading) that the CLI serializes verbatim.
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from .scaled import ScaledComplex, sc_add, sc_from_complex, sc_mul, sc_sub
 from .specfun import ln_gamma, rgamma
-from .mitlef import (MLContext, _gauss_legendre, _series_kernel, combo_batch, combo_normalized,
+from .mitlef import (MLContext, _combine, _e_ray, _series_kernel, combo_batch, combo_normalized,
                      combo_normalized_batch, ml_series, radius)
 from .curves import (REGION_DELTA2, REGION_DELTA3, REGION_H, REGIONS, _check_region_rho,
                      asymptote_distance, phase_u, region_contains, szego_sigma)
@@ -44,18 +47,12 @@ LEMMA4_SMALLNESS = 1e-2      # "o(1)" proxy ceiling at n=200
 THEOREM3_GRID_SIDE = 21      # zeta grid points per side, theorem 3
 THEOREM4_GRID_SIDE = 7       # zeta grid points per side, theorem 4
 
-# The K_n contour: rays at arg = +-(pi/(2 rho) + KN_NU_MARGIN), cut at
-# |t| = KN_RAY_CUTOFF in units of R_n.  Read at call time.
+# The K_n contour: rays at arg = +-(pi/(2 rho) + KN_NU_MARGIN).  Read at call time.
 KN_NU_MARGIN = 0.1
-KN_RAY_CUTOFF = 4.0
 
 
 class RegimeError(ValueError):
     """The point violates (or straddles) the requested regime's conditions."""
-
-
-class ContourError(RuntimeError):
-    """The integration contour passes too close to the pole."""
 
 
 @dataclass(frozen=True)
@@ -205,94 +202,59 @@ def theorem1_check(z: complex, ctx: MLContext) -> float:
 # --- contour integral -------------------------------------------------------
 
 
-def _graded_panels(a: float, b: float, p: float, d: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (panels x 48) of both rules on panels of [a, b] that
-    grow d, 2d, 4d, ... away from p, up to 1/8.  With p the point nearest the
-    pole and d its distance, each panel lies about its own length from the
-    pole.  Under the 1/8 cap the 32-point rule resolves the saddle peak, of
-    width (rho n)^{-1/2}, to rounding wherever e^{R_n^rho} is finite."""
-    k = max(0, math.ceil(math.log2(0.125 / d)))
-    reach = np.cumsum(np.minimum(d * 2.0 ** np.arange(k + math.ceil((b - a) / 0.125)), 0.125))
-    # sorted without repeats by hand: np.unique would import numpy.ma
-    ends = np.sort(np.concatenate([[a, p, b], p - reach[reach < p - a],
-                                   p + reach[reach < b - p]]))
-    ends = ends[np.append(True, ends[1:] != ends[:-1])]
-    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-    x, w = _gauss_legendre()
-    return mid[:, None] + half[:, None] * x, half[:, None] * w
-
-
-def _kn_integral(z: complex, ctx: MLContext) -> tuple[complex, float]:
-    """Integral of e^{wp t^rho} t^{-(n+1)} / (t - z), wp = R_n^rho, over the
-    arc |t| = 1, |arg t| <= nu, and the rays arg t = +-nu out to
-    KN_RAY_CUTOFF (t-plane, zeta = R_n t), nu = pi/(2 rho) + KN_NU_MARGIN,
-    with an absolute error estimate that includes a bound on the cut-off ray
-    tails.  The contour is checked: nu <= pi/rho, cos(rho nu) < 0, and the
-    pole at least 1e-6 from the arc and the whole rays by exact distance.
-    In L = log t the integrand is e^{wp e^{rho L} - n L} / (e^L - z) dL,
-    evaluated once on all nodes of the panels graded toward each piece's
-    point nearest the pole."""
+def _kn_log(z, ctx: MLContext) -> tuple[np.ndarray, np.ndarray]:
+    """(z as an array, log of t_{n+1}(w) - chi rho e^{w^rho}), w = R_n z,
+    with chi = 1 right of the K_n contour (|z| > 1 and |arg z| < nu) and 0
+    elsewhere.  Left of it that is the tail, from the series kernel; right
+    of it E's ray integral (_e_ray) minus s_n, which do not cancel.  Checks
+    the contour: nu <= pi/rho (so cos(rho nu) < 0), and no point within
+    1e-6 of the arc or of the rays, across which K_n jumps."""
+    zt = np.atleast_1d(np.asarray(z, dtype=complex))
     n, rho = ctx.n, ctx.rho
-    nu, cut = math.pi / (2.0 * rho) + KN_NU_MARGIN, KN_RAY_CUTOFF
-    crn = math.cos(rho * nu)
-    if not (nu <= math.pi / rho and crn < 0.0):
-        raise ValueError("the K_n rays need nu <= pi/rho and cos(rho nu) < 0")
-    th = min(max(cmath.phase(z), -nu), nu)  # nearest arc point
-    rays = [(sign, cmath.exp(1j * sign * nu)) for sign in (1.0, -1.0)]
-    near = [min(max((z * e.conjugate()).real, 1.0), cut) for _, e in rays]
-    d_ray = [abs(s * e - z) for s, (_, e) in zip(near, rays)]
-    d_arc = abs(cmath.exp(1j * th) - z)
-    d_tail = min(abs(max((z * e.conjugate()).real, cut) * e - z) for _, e in rays)
-    if min(d_arc, d_tail, *d_ray) < 1e-6:
-        raise ContourError("pole within 1e-6 R_n of the contour")
-
-    x, w = _graded_panels(-nu, nu, th, d_arc)
-    L, dL = [1j * x], [1j * w]
-    for (sign, _), s, d in zip(rays, near, d_ray):
-        x, w = _graded_panels(1.0, cut, s, d)
-        L.append(np.log(x) + 1j * sign * nu)
-        dL.append(sign * w / x)
-    L, dL = np.concatenate(L), np.concatenate(dL)
-    wp = ctx.radius_value ** rho  # R_n^rho, moderate
-    f = np.exp(wp * np.exp(rho * L) - n * L) / (np.exp(L) - z) * dL
-    q16, q32 = f[:, :16].sum(), f[:, 16:].sum()
-
-    # tail of each ray beyond the cutoff: |integrand| <= e^{wp s^rho cos(rho nu)}
-    # s^{-(n+1)} / d_tail, and the exponent decays at rate >= wp rho cut^{rho-1}|cos|
-    tail_log = wp * cut ** rho * crn - (n + 1) * math.log(cut) - math.log(d_tail)
-    tail = math.exp(min(tail_log, 700.0)) / (wp * rho * cut ** (rho - 1.0) * abs(crn))
-    return complex(q32), float(abs(q16 - q32)) + 2.0 * tail
+    nu = math.pi / (2.0 * rho) + KN_NU_MARGIN
+    if not nu <= math.pi / rho:
+        raise ValueError("the K_n rays need nu <= pi/rho")
+    if (zt == 0).any():
+        raise ValueError("K_n's closed form needs z != 0")
+    th = np.angle(zt)
+    # the nearest points of the arc and of the two rays
+    near = [np.exp(1j * np.clip(th, -nu, nu))]
+    near += [np.maximum((zt * e.conjugate()).real, 1.0) * e
+             for e in (cmath.exp(1j * nu), cmath.exp(-1j * nu))]
+    if min(np.abs(p - zt).min() for p in near) < 1e-6:
+        raise ValueError("z within 1e-6 of the K_n contour")
+    w, right = ctx.radius_value * zt, (np.abs(zt) > 1.0) & (np.abs(th) < nu)
+    log_x = np.empty(zt.shape, complex)
+    log_mag, phase, _floor = _series_kernel(w[~right], n, rho, -1.0, 1.0)
+    log_x[~right] = log_mag + 1j * phase
+    if right.any():
+        log_mag, phase, _floor = _series_kernel(w[right], n, rho, -1.0, 0.0)
+        log_mag, phase = _combine((1.0, np.exp(1j * phase), log_mag),
+                                  (1.0, _e_ray(w[right], rho)[0], 0.0))
+        log_x[right] = log_mag + 1j * phase
+    return zt, log_x
 
 
-def kn_quadrature(z: complex, ctx: MLContext) -> tuple[complex, float]:
-    """Contour integral of e^{zeta^rho} zeta^{-(n+1)} / (zeta - R_n z) over
-    the arc and truncated rays, rescaled to the unit-radius plane.
-
-    Returns (value, estimated absolute error).  The value is the 32-point
-    Gauss-Legendre rule on panels graded toward the contour point nearest
-    the pole; the error is its distance from the 16-point rule on the same
-    panels plus an analytic bound on the truncated ray tails.
-    """
-    total, err = _kn_integral(complex(z), ctx)
-    scale = math.exp(-(ctx.n + 1) * math.log(ctx.radius_value))  # zeta = R_n t
-    return total * scale, err * scale
+def kn_integral(z, ctx: MLContext):
+    """K_n, the integral of e^{zeta^rho} zeta^{-(n+1)} / (zeta - w), w = R_n z,
+    over the arc |zeta| = R_n, |arg zeta| <= nu, and the rays arg zeta = +-nu
+    out to infinity, nu = pi/(2 rho) + KN_NU_MARGIN.  By the residues at
+    zeta = w and, right of the contour, of E's exponential part,
+    K_n = (2 pi i / rho) (t_{n+1}(w) - chi rho e^{w^rho}) / w^{n+1} (_kn_log).
+    z a scalar or an array."""
+    zt, log_x = _kn_log(z, ctx)
+    log_k = log_x - (ctx.n + 1) * np.log(ctx.radius_value * zt)
+    return _complex_like(z, 2j * math.pi / ctx.rho * np.exp(log_k))
 
 
-def kn_ratio(z: complex, ctx: MLContext) -> complex:
+def kn_ratio(z, ctx: MLContext):
     """rho (R_n z)^{n+1} K_n / (2 pi i), divided by the predicted
-    R_n^n z^n z / ((1-z) Gamma(1+n/rho)); tends to 1 on the good set."""
-    z = complex(z)
+    R_n^n z^n z / ((1-z) Gamma(1+n/rho)), in logs; tends to 1 on the good
+    set.  z a scalar or an array."""
+    zt, log_x = _kn_log(z, ctx)
     n, rho = ctx.n, ctx.rho
-    rn = ctx.radius_value
-    # the integral of kn_quadrature, kept un-rescaled; combined in logs
-    q, _err = _kn_integral(z, ctx)
-    if q == 0:
-        return 0.0
-    # ratio = rho R_n Gamma(1+n/rho) (1-z) K_n / (2 pi i), K_n = R_n^{-(n+1)} Q
-    lg = ln_gamma(1.0 + n / rho) - n * math.log(rn)
-    val = cmath.log(q) + lg + cmath.log(rho * (1.0 - z) / (2j * math.pi))
-    return cmath.exp(val)
+    lg = ln_gamma(1.0 + n / rho) - n * math.log(ctx.radius_value)
+    return _complex_like(z, np.exp(log_x + lg + np.log(1.0 - zt) - (n + 1) * np.log(zt)))
 
 
 # --- scaling-limit pairs ----------------------------------------------------
@@ -616,16 +578,14 @@ def suite_theorem4(rho: float = 2.0, lam_list: tuple[complex, ...] = (0.0, 1.0),
 
 def suite_kn(rho: float = 2.0, n_list: tuple[int, ...] = (20, 80)) -> dict:
     _nonempty(n_list=n_list)
-    devs = []
-    for n in n_list:
-        ctx = MLContext(rho=rho, n=n, lam=0.5)
-        devs.append([abs(kn_ratio(z, ctx) - 1.0) for z in _KN_POINTS])
-    ok = all(devs[-1][j] <= devs[0][j] for j in range(len(_KN_POINTS)))
-    if n_list[-1] >= 80 and max(devs[-1]) > KN_RATIO_DEV_AT_80:
+    zs = np.array(_KN_POINTS)
+    devs = [np.abs(kn_ratio(zs, MLContext(rho=rho, n=n, lam=0.5)) - 1.0) for n in n_list]
+    ok = all((devs[i + 1] <= devs[i]).all() for i in range(len(devs) - 1))
+    if n_list[-1] >= 80 and devs[-1].max() > KN_RATIO_DEV_AT_80:
         ok = False
     return {"check_id": "kn", "params": {"rho": rho},
             "n_list": list(n_list),
-            "metric_list": [max(row) for row in devs], "pass": ok}
+            "metric_list": [float(row.max()) for row in devs], "pass": ok}
 
 
 def suite_lemma4(rho: float = 2.0, n_list: tuple[int, ...] = (100, 200)) -> dict:

@@ -17,12 +17,11 @@ from mlsections.mitlef import MLContext
 from mlsections.curves import szego_sigma
 from mlsections.scaled import sc_to_complex
 from mlsections.verify import (
-    ContourError,
     RegimeError,
     ScalingFrame3,
     ScalingFrame4,
     j_primes,
-    kn_quadrature,
+    kn_integral,
     kn_ratio,
     lemma4_logmag,
     suite_kn,
@@ -130,29 +129,7 @@ def test_j_primes_against_stirling():
         j_primes(0.0, ctx)
 
 
-# ------------------------------------------------------------ quadrature
-
-def test_kn_quadrature_error_estimate(monkeypatch):
-    ctx = MLContext(rho=2.0, n=30, lam=0.5)
-    val, err = kn_quadrature(0.4, ctx)
-    assert err < 1e-6 * max(1.0, abs(val))
-    # longer rays only reduce the truncation error
-    monkeypatch.setattr(verify, "KN_RAY_CUTOFF", 6.0)
-    val2, err2 = kn_quadrature(0.4, ctx)
-    assert abs(val2 - val) <= 10.0 * (err + err2)
-
-
-@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
-def test_kn_quadrature_does_not_depend_on_nu(monkeypatch, rho):
-    # K_n is a contour integral of a function analytic off the pole, so
-    # turning the rays within (pi/(2 rho), pi/rho] must not move it
-    ctx = MLContext(rho=rho, n=40, lam=0.5)
-    points = (0.4, 0.6 * cmath.exp(0.5j), 0.5 * cmath.exp(2.0j), 1.3 * cmath.exp(-2.2j))
-    base = [kn_quadrature(z, ctx)[0] for z in points]
-    monkeypatch.setattr(verify, "KN_NU_MARGIN", 0.25)
-    for z, ref in zip(points, base):
-        assert abs(kn_quadrature(z, ctx)[0] - ref) <= 1e-12 * abs(ref), z
-
+# ------------------------------------------------------------ contour integral
 
 def test_kn_ratio_improves_with_n():
     d20 = abs(kn_ratio(0.4, MLContext(rho=2.0, n=20, lam=0.5)) - 1.0)
@@ -161,34 +138,38 @@ def test_kn_ratio_improves_with_n():
     assert d80 < 0.15
 
 
-@pytest.mark.parametrize("integral", [kn_quadrature, kn_ratio])
+@pytest.mark.parametrize("integral", [kn_integral, kn_ratio])
 def test_kn_integrals_check_their_contour(integral):
     with pytest.raises(ValueError):  # rho > 5 pi: nu = pi/(2 rho) + 0.1 > pi/rho
         integral(0.4, MLContext(rho=16.0, n=20, lam=0.5))
     ctx = MLContext(rho=2.0, n=20, lam=0.5)
-    with pytest.raises(ContourError):  # pole 1e-9 from the arc
+    with pytest.raises(ValueError):  # pole 1e-9 from the arc
         integral(1.0 + 1e-9j, ctx)
     nu = math.pi / (2.0 * ctx.rho) + verify.KN_NU_MARGIN
     # poles 1e-9 off the arc and off a ray, between the nodes of a uniform
     # 721-point grid per piece: the check must use exact distances
     for z in (cmath.exp(1j * nu / 720.0) * (1.0 + 1e-9),
               cmath.exp(1j * nu) * (1.0 + 1.5 / 720.0 + 1e-9j)):
-        with pytest.raises(ContourError):
+        with pytest.raises(ValueError):
             integral(z, ctx)
-    with pytest.raises(ContourError):  # pole on a ray beyond its cutoff 4
+    with pytest.raises(ValueError):  # pole on a ray, past where a cut-off ray would end
         integral(4.5 * cmath.exp(1j * nu), ctx)
+    with pytest.raises(ValueError):  # one bad point fails the whole array
+        integral(np.array([0.4, 4.5 * cmath.exp(-1j * nu)]), ctx)
+    with pytest.raises(ValueError):  # the closed form divides by w^{n+1}
+        integral(0.0, ctx)
 
 
 def test_kn_integrals_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         suite_kn()
-        kn_quadrature(0.4, MLContext(rho=2.0, n=30, lam=0.5))
+        kn_integral(0.4, MLContext(rho=2.0, n=30, lam=0.5))
 
 
 def test_kn_suite_leaves_numpy_ma_unloaded():
-    """The K_n panels are sorted without np.unique, which imports numpy.ma
-    (about 0.5 MiB) on its first call."""
+    """suite_kn imports nothing that loads numpy.ma (about 0.5 MiB), as
+    np.unique does on its first call."""
     src = os.path.dirname(os.path.dirname(verify.__file__))
     code = ("import sys, mlsections.verify\n"
             "mlsections.verify.suite_kn()\n"
@@ -198,28 +179,57 @@ def test_kn_suite_leaves_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("offset", [1e-3, 1e-5])
-def test_kn_quadrature_near_pole_matches_mpmath(offset):
-    """Poles just outside the arc, where the graded panels carry the
-    accuracy; the reference splits the arc at the point nearest the pole."""
-    ctx = MLContext(rho=2.0, n=80, lam=0.5)
-    n, rho, rn = ctx.n, ctx.rho, ctx.radius_value
-    z = (1.0 + offset) * cmath.exp(0.3j)
-    nu, cut = math.pi / (2.0 * rho) + verify.KN_NU_MARGIN, verify.KN_RAY_CUTOFF
+@pytest.mark.parametrize("rho,z", [
+    pytest.param(2.0, 1.001 * cmath.exp(0.3j), id="rho2-near-pole-1e-3"),
+    pytest.param(2.0, 1.00001 * cmath.exp(0.3j), id="rho2-near-pole-1e-5"),
+    pytest.param(2.0, 0.5 * cmath.exp(2.0j), id="rho2-left"),
+    pytest.param(1.5, 1.001 * cmath.exp(0.3j), id="rho1.5-near-pole-1e-3"),
+    pytest.param(4.0, 1.001 * cmath.exp(0.3j), id="rho4-near-pole-1e-3"),
+])
+def test_kn_integral_matches_mpmath(rho, z):
+    """K_n against the contour integral itself, in mpmath, at n = 80: poles
+    just outside the arc, right of the contour, and one left of it.  The
+    reference splits the arc at the point nearest the pole, and cuts the
+    rays at |t| = 4 (t = zeta / R_n): past the cut the integrand is below
+    e^{R_n^rho 4^rho cos(rho nu)} 4^{-81} / |t - z|, which is below e^{-127}
+    at rho = 2 (and smaller at 1.5 and 4) against a K_n of e^{R_n^rho} order
+    in the t-plane, so the cut leaves the reference exact to far below the
+    gate."""
+    ctx = MLContext(rho=rho, n=80, lam=0.5)
+    n, rn = ctx.n, ctx.radius_value
+    nu = math.pi / (2.0 * rho) + verify.KN_NU_MARGIN
+    th = min(max(cmath.phase(z), -nu), nu)
     with mp.workdps(20):
         wp = mp.mpf(rn) ** rho
 
         def f(t):
             return mp.exp(wp * t ** rho - (n + 1) * mp.log(t)) / (t - z)
 
-        ref = mp.quad(lambda th: f(mp.expj(th)) * 1j * mp.expj(th), [-nu, 0.3, nu])
+        ref = mp.quad(lambda s: f(mp.expj(s)) * 1j * mp.expj(s), sorted({-nu, th, nu}))
         for sign in (1.0, -1.0):
             e = mp.expj(sign * nu)
-            ref += sign * mp.quad(lambda s: f(s * e) * e, [1.0, cut])
+            ref += sign * mp.quad(lambda s: f(s * e) * e, [1.0, 4.0])
         ref = complex(ref * mp.mpf(rn) ** (-(n + 1)))
-    val, err = kn_quadrature(z, ctx)
-    assert abs(val - ref) <= 1e-10 * abs(ref)
-    assert err <= 1e-10 * abs(ref)
+    assert abs(kn_integral(z, ctx) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_kn_integral_jumps_by_the_residue_across_the_arc(rho):
+    """Across the arc K_n jumps by the residue of E's exponential part,
+    2 pi i e^{w^rho} / w^{n+1} (w = R_n z).  Points must stay 1e-6 from the
+    contour, and the difference D(d) of K_n at z (1 -+ d) carries a term of
+    first order in d, which 2 D(d) - D(2 d) cancels.  (Across a ray the
+    residue is about 1e-22 of K_n, too small to see.)  An array call gives
+    each point what a one-point call gives it, bit for bit."""
+    ctx = MLContext(rho=rho, n=40, lam=0.5)
+    z = cmath.exp(0.3j)
+    points = z * np.array([1.0 - 2e-6, 1.0 + 2e-6, 1.0 - 4e-6, 1.0 + 4e-6])
+    vals = kn_integral(points, ctx)
+    jump = 2.0 * (vals[0] - vals[1]) - (vals[2] - vals[3])
+    w = ctx.radius_value * z
+    residue = 2j * math.pi * cmath.exp(w ** rho - (ctx.n + 1) * cmath.log(w))
+    assert abs(jump - residue) <= 1e-4 * abs(residue)
+    assert list(vals) == [kn_integral(complex(p), ctx) for p in points]
 
 
 # ------------------------------------------------------------ pair checks
@@ -355,6 +365,7 @@ def test_suite_rejects_an_empty_list(suite):
     pytest.param("theorem3", {"n_list": (200, 100)}, {}, id="theorem3-trend"),
     pytest.param("theorem4", {"n_list": (300, 75)}, {}, id="theorem4-trend"),
     pytest.param("kn", {"n_list": (80, 20)}, {}, id="kn-trend"),
+    pytest.param("kn", {"n_list": (20, 80, 40)}, {}, id="kn-middle-rise"),
     pytest.param("theorem1", {}, {"THEOREM1_DEV_AT_200": 0.0}, id="theorem1-ceiling"),
     pytest.param("theorem3", {}, {"THEOREM3_DEV_AT_200": 0.0}, id="theorem3-centre"),
     pytest.param("kn", {}, {"KN_RATIO_DEV_AT_80": 0.0}, id="kn-ceiling"),

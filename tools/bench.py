@@ -26,7 +26,12 @@ counted by wrapping it, in total and inside the Newton pass
 zeros._aberth (one call per round); and the mitlef._norm_sum calls per
 kernel pass.
 
-The three tables go, with nproc, to BENCH_<label>.json in the working
+verify: times each suite of verify.SUITES at its defaults, the median of
+3 timed calls after one untimed call, during which its series-kernel calls
+and the points they evaluate are counted by wrapping
+mitlef._series_kernel.
+
+The four tables go, with nproc, to BENCH_<label>.json in the working
 directory.
 
 Run from the repository root:  PYTHONPATH=src python3 tools/bench.py LABEL
@@ -43,7 +48,7 @@ import time
 
 import numpy as np
 
-from mlsections import mitlef, zeros
+from mlsections import mitlef, verify, zeros
 from mlsections.mitlef import MLContext, combo_batch
 
 RHO = 2.0
@@ -187,6 +192,18 @@ def poly_rows() -> list[dict]:
     return rows
 
 
+def verify_rows() -> list[dict]:
+    rows = []
+    for name, suite in verify.SUITES.items():
+        # the suites call the kernel under its own name and through mitlef and zeros
+        with _counting((mitlef, zeros, verify), "_series_kernel",
+                       lambda w, *_: np.size(w)) as kernel:
+            suite()
+        rows.append({"suite": name, "seconds": _median_seconds(suite, LOCATE_REPEATS),
+                     "kernel_calls": kernel["calls"], "points": kernel["size"]})
+    return rows
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -220,9 +237,16 @@ def main(argv: list[str]) -> int:
         print(f"{r['n']:>5} {r['seconds']:>9.3f} {r['kernel_passes']:>7} {r['aberth_rounds']:>7} "
               f"{r['points']:>9} {r['newton_passes']:>14} {r['newton_points']:>14} "
               f"{r['norm_sums_per_pass']:>15.2f}")
+    checks = verify_rows()
+    print(f"verify suites at their defaults, median of {LOCATE_REPEATS}; series-kernel calls"
+          f" and points")
+    print(f"{'suite':>9} {'seconds':>9} {'calls':>6} {'points':>9}")
+    for r in checks:
+        print(f"{r['suite']:>9} {r['seconds']:>9.4f} {r['kernel_calls']:>6} {r['points']:>9}")
     out = {"label": label, "rho": RHO, "points": POINTS, "half_side": HALF_SIDE,
            "repeats": REPEATS, "locate_repeats": LOCATE_REPEATS, "nproc": os.cpu_count(),
-           "rows": kernel, "locate_rows": locate, "poly_rows": poly}
+           "rows": kernel, "locate_rows": locate, "poly_rows": poly,
+           "verify_rows": checks}
     with open(f"BENCH_{label}.json", "w") as fh:
         json.dump(out, fh, indent=1)
     return 0
